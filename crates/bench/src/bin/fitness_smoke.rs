@@ -13,9 +13,9 @@
 //!
 //! The incremental workloads cover the operator mix of the paper's EA in
 //! its steady state: single-gene mutation chains (one changed MV chunk per
-//! child), and multi-chunk child streams probed read-only against one
-//! cached *evolved* parent — exactly how the engine's shared parent cache
-//! prices a generation's children. The multi-chunk stream mixes crossover
+//! child), and multi-chunk child streams priced read-only, without the
+//! probe's cost gate, against one cached *evolved* parent — the patch path
+//! the engine's shared parent cache runs for a generation's children. The multi-chunk stream mixes crossover
 //! and inversion children 3:1 (the paper's 0.30/0.10 operator
 //! probabilities) with edit windows spanning 2–5 MV chunks; crossover
 //! partners are drawn from a converged population (the evolved individual a
@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 use evotc_bench::fitness_fixture::{paper_histogram, random_genomes, BLOCK_LEN, NUM_MVS};
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_core::{
-    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
-    IncrementalOutcome, MvFitness, PatchScratch,
+    encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
+    EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
 use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval};
@@ -233,11 +233,13 @@ fn main() {
         }
     }
 
-    // Correctness gate 3:  the multi-chunk probe path must match the full
+    // Correctness gate 3: the multi-chunk patch path must match the full
     // kernel bit-for-bit on every child of the steady-state streams —
     // mixed crossover/inversion, pure crossover, and pure inversion —
-    // priced read-only against the cached evolved parent, exactly as the
-    // engine's shared parent cache prices a generation.
+    // priced read-only and ungated against the cached evolved parent (its
+    // objectives observed by committing a copy of the parent cache). The
+    // gated shared probe, which is how the engine's shared parent cache
+    // prices a generation, must answer the same or decline the patch.
     let (evolved, partners) = evolved_parent_and_partners(&histogram, payload_bits);
     let mixed_ops = [
         MultiOp::Crossover,
@@ -257,25 +259,50 @@ fn main() {
         ("inversion", &inversion),
     ] {
         for (step, (window, child)) in stream.iter().enumerate() {
-            let probe = encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch);
             let full = encoded_size_scratch(&sliced, child, true, &mut scratch);
+            let objectives = (scratch.last_scan_transitions(), scratch.last_used_mvs());
+            let probe =
+                encoded_size_incremental(&sliced, child, true, window, false, &mut parent_cache);
             if probe != IncrementalOutcome::Size(full) {
                 fail(&format!(
                     "{name} probe {probe:?} != full {full:?} at child {step} (window {window:?})"
                 ));
             }
-            if full.is_some()
-                && (patch.last_scan_transitions() != scratch.last_scan_transitions()
-                    || patch.last_used_mvs() != scratch.last_used_mvs())
-            {
+            let mut adopted = parent_cache.clone();
+            let committed =
+                encoded_size_incremental(&sliced, child, true, window, true, &mut adopted);
+            if committed != probe {
                 fail(&format!(
-                    "{name} patched objectives (t={}, used={}) != full (t={}, used={}) \
-                     at child {step}",
-                    patch.last_scan_transitions(),
-                    patch.last_used_mvs(),
-                    scratch.last_scan_transitions(),
-                    scratch.last_used_mvs()
+                    "{name} commit {committed:?} != probe {probe:?} at child {step}"
                 ));
+            }
+            if full.is_some() && (adopted.scan_transitions(), adopted.used_mvs()) != objectives {
+                fail(&format!(
+                    "{name} patched objectives (t={}, used={}) != full {objectives:?} \
+                     at child {step}",
+                    adopted.scan_transitions(),
+                    adopted.used_mvs(),
+                ));
+            }
+            // The gated probe: the same answer with the same objectives, or
+            // `NeedsFull` — never for a window inside one chunk.
+            let one_chunk = window.start / BLOCK_LEN == (window.end - 1) / BLOCK_LEN;
+            match encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch) {
+                IncrementalOutcome::NeedsFull if one_chunk => fail(&format!(
+                    "{name} gated probe declined a one-chunk edit at child {step}"
+                )),
+                IncrementalOutcome::NeedsFull => {}
+                gated if gated != probe => fail(&format!(
+                    "{name} gated probe {gated:?} != full {full:?} at child {step}"
+                )),
+                _ if full.is_some()
+                    && (patch.last_scan_transitions(), patch.last_used_mvs()) != objectives =>
+                {
+                    fail(&format!(
+                        "{name} gated probe objectives differ from full at child {step}"
+                    ))
+                }
+                _ => {}
             }
         }
     }
@@ -425,9 +452,10 @@ fn main() {
     let incremental_speedup = incremental_eps / full_chain_eps;
 
     // The multi-chunk streams: one parent rebuild, then CHAIN_LEN children
-    // probed read-only off the cached parent — the shared-cache steady
-    // state. The full-kernel reference prices exactly the same children
-    // from scratch.
+    // priced read-only and ungated off the cached parent — the patch path
+    // of the shared-cache steady state, without the cost gate's fallbacks.
+    // The full-kernel reference prices exactly the same children from
+    // scratch.
     let measure_stream = |stream: &[(Range<usize>, Vec<Trit>)]| {
         let mut scratch = EvalScratch::new();
         let full_eps = throughput(per_pass, || {
@@ -440,13 +468,12 @@ fn main() {
             acc
         });
         let mut parent_cache = EvalCache::new();
-        let mut patch = PatchScratch::new();
         let inc_eps = throughput(per_pass, || {
             let mut acc = encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache)
                 .unwrap_or_default() as f64;
             for (window, child) in stream {
                 if let IncrementalOutcome::Size(size) =
-                    encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch)
+                    encoded_size_incremental(&sliced, child, true, window, false, &mut parent_cache)
                 {
                     acc += size.unwrap_or_default() as f64;
                 }
@@ -516,26 +543,36 @@ fn main() {
     let ea_speedup = ea_eps / ea_full_eps;
     let ea_cache = result.cache.unwrap_or_default();
 
-    // Island-model throughput: the same budget split over per-thread
-    // subpopulations (auto thread count), ring migration every 10
-    // generations — the whole-run scaling mode. Per-island breeding and
-    // evaluation are serial within an island, so the scaling comes from
-    // islands running concurrently.
-    let island_config = EaConfig::builder()
-        .population_size(10)
-        .children_per_generation(5)
-        .stagnation_limit(usize::MAX)
-        .max_evaluations(20_000)
-        .islands(4, 10, 2)
-        .seed(3)
-        .build();
-    let island = best_of(&|| {
-        EaBuilder::new(GENOME_LEN, sample, fitness.clone())
-            .config(island_config.clone())
-            .run()
-    });
+    // Island-model scaling: one island config — four islands, ring
+    // migration every 10 generations — at one thread and at the auto
+    // thread count. Per-island breeding and evaluation are serial within
+    // an island, so any speedup comes from islands running concurrently;
+    // the two runs compute the identical trajectory.
+    let island_threads = evotc_evo::parallel::resolve_threads(0);
+    let island_run = |threads: usize| {
+        let config = EaConfig::builder()
+            .population_size(10)
+            .children_per_generation(5)
+            .stagnation_limit(usize::MAX)
+            .max_evaluations(20_000)
+            .islands(4, 10, 2)
+            .seed(3)
+            .threads(threads)
+            .build();
+        best_of(&|| {
+            EaBuilder::new(GENOME_LEN, sample, fitness.clone())
+                .config(config.clone())
+                .run()
+        })
+    };
+    let island_serial = island_run(1);
+    let island = island_run(island_threads);
+    if island.best_genome != island_serial.best_genome {
+        fail("island run diverged between threads=1 and the auto thread count");
+    }
+    let ea_island_1t_eps = island_serial.evaluations_per_sec();
     let ea_island_eps = island.evaluations_per_sec();
-    let ea_island_scaling = ea_island_eps / ea_eps;
+    let ea_island_scaling = ea_island_eps / ea_island_1t_eps;
 
     // Checkpoint cost, on a real mid-run island checkpoint from gate 5:
     // serialize/deserialize latency through the trit byte codec (min-time
@@ -596,14 +633,25 @@ fn main() {
     println!("EA eval/s (cache off)  : {ea_full_eps:.0}");
     println!("EA whole-run speedup   : {ea_speedup:.2}x");
     println!("EA cache counters      : {ea_cache}");
-    println!("EA island eval/s       : {ea_island_eps:.0}");
-    println!("EA island scaling      : {ea_island_scaling:.2}x");
+    println!("EA island eval/s (1t)  : {ea_island_1t_eps:.0}");
+    println!("EA island eval/s ({island_threads}t)  : {ea_island_eps:.0}");
+    println!("EA island scaling      : {ea_island_scaling:.2}x (1 -> {island_threads} threads)");
     println!("checkpoint save        : {checkpoint_save_us:.1} us");
     println!("checkpoint resume      : {checkpoint_resume_us:.1} us");
     println!("checkpoint overhead    : {checkpoint_overhead_pct:.2}% (every 10 generations)");
 
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
     let json = format!(
-        "{{\n  \"bench\": \"fitness_kernel\",\n  \"workload\": \"s953\",\n  \"k\": {k},\n  \
+        "{{\n  \"bench\": \"fitness_kernel\",\n  \"nproc\": {nproc},\n  \"cpu\": {cpu:?},\n  \
+         \"workload\": \"s953\",\n  \"k\": {k},\n  \
          \"l\": {l},\n  \"distinct_blocks\": {distinct},\n  \"genomes\": {genomes},\n  \
          \"legacy_evals_per_sec\": {legacy:.0},\n  \"kernel_evals_per_sec\": {kernel:.0},\n  \
          \"speedup\": {speedup:.2},\n  \
@@ -625,6 +673,8 @@ fn main() {
          \"ea_evals_per_sec\": {ea_eps:.0},\n  \
          \"ea_full_evals_per_sec\": {ea_full_eps:.0},\n  \
          \"ea_speedup\": {ea_speedup:.2},\n  \
+         \"ea_island_threads\": {island_threads},\n  \
+         \"ea_island_1t_evals_per_sec\": {ea_island_1t_eps:.0},\n  \
          \"ea_island_evals_per_sec\": {ea_island_eps:.0},\n  \
          \"ea_island_scaling\": {ea_island_scaling:.2},\n  \
          \"checkpoint_save_us\": {ckpt_save:.1},\n  \

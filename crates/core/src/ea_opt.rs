@@ -9,7 +9,7 @@ use rand::Rng;
 use std::sync::Arc;
 
 use crate::incremental::{
-    encoded_size_incremental, encoded_size_probe_bounded, encoded_size_rebuild, IncrementalOutcome,
+    encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, IncrementalOutcome,
 };
 use crate::kernel::block_transitions;
 use crate::shared_cache::{content_hash, ParentEntry, SharedParentCache};
@@ -270,26 +270,31 @@ impl std::error::Error for WeightError {}
 /// malformed or cannot cover every block score [`MvFitness::INFEASIBLE`],
 /// which ranks strictly below every feasible compression rate.
 ///
-/// Three equivalent evaluation paths exist:
+/// Four equivalent evaluation paths exist:
 ///
-/// * [`MvFitness::evaluate`] — the legacy reference path (decode an
-///   [`MvSet`], cover, build a Huffman code). Kept as the oracle the kernel
-///   is tested against.
+/// * [`MvFitness::evaluate_oracle`] — the legacy reference path (decode an
+///   [`MvSet`], cover, build a Huffman code); what [`FitnessEval::evaluate`]
+///   uses. Kept as the oracle the kernel is tested against.
 /// * [`MvFitness::evaluate_scratch`] — the allocation-free, bit-sliced
 ///   kernel (see [`crate::EvalScratch`]); what [`FitnessEval::evaluate_batch`]
-///   uses with one scratch per batch chunk, i.e. per worker thread.
-/// * [`MvFitness::evaluate_cached`] — the incremental path (see
-///   [`crate::EvalCache`]): re-prices an arbitrary edit window from the
-///   parent's cached covering, one ownership patch per changed MV chunk.
-///   What [`FitnessEval::evaluate_batch_with_lineage`] uses for engine
-///   children that carry provenance, with parent caches held in one
-///   **shared** [`SharedParentCache`] — content-keyed, so they survive the
-///   population reshuffling between generations, and probed read-only
-///   ([`crate::encoded_size_probe`]) so every worker thread patches the
-///   same cached elite parent without per-thread copies. Crossover children
-///   are priced against whichever parent is cached: the outside-the-window
-///   parent through the recorded edit window, or the window-content donor
-///   through a whole-genome diff (see [`Lineage::second_parent`]).
+///   uses with one pooled worker state per batch chunk, i.e. per worker
+///   thread, and what the lineage path falls back to.
+/// * [`MvFitness::evaluate_cached`] — the incremental chain path: advances a
+///   caller-owned [`crate::EvalCache`] along a chain of edits through the
+///   ungated [`crate::encoded_size_incremental`], one ownership patch per
+///   changed MV chunk, rebuilding when the edit is not priceable.
+/// * The lineage batch path — what
+///   [`FitnessEval::evaluate_batch_with_lineage`] and
+///   [`FitnessEval::evaluate_batch_with_objectives`] use for engine children
+///   that carry provenance. Parent caches live in one **shared**
+///   [`SharedParentCache`] — content-keyed, so they survive the population
+///   reshuffling between generations — and are probed read-only through
+///   the cost-gated [`crate::encoded_size_probe`], so every worker thread
+///   patches the same cached elite parent without per-thread copies.
+///   Crossover children are priced against whichever parent is cached: the
+///   outside-the-window parent through the recorded edit window, or the
+///   window-content donor through a whole-genome diff (see
+///   [`Lineage::second_parent`]). Edits the gate declines take the kernel.
 ///
 /// Cache effectiveness is observable: hit/miss/fallback counters accumulate
 /// on the shared cache and surface through [`FitnessEval::cache_stats`] on
@@ -305,18 +310,13 @@ pub struct MvFitness<'a> {
     sliced: evotc_bits::SlicedHistogram,
     original_bits: f64,
     mode: CombineMode,
-    /// Warmed-up kernel buffers returned by previous batch calls. Workers
-    /// check one out per [`FitnessEval::evaluate_batch`] call and return it
-    /// afterwards, so scratch allocations persist across generations
-    /// instead of being rebuilt every batch. Scratch contents never affect
-    /// results (the kernel fully re-initializes what it reads), so the pool
-    /// is invisible to the determinism contract.
-    scratch_pool: std::sync::Mutex<Vec<crate::EvalScratch>>,
-    /// Warmed-up per-worker lineage states (patch scratch + fallback kernel
-    /// scratch + hot-entry slots), one checked out per
-    /// [`FitnessEval::evaluate_batch_with_lineage`] call. Like the scratch
-    /// pool, pure warm-up state: every score is bit-identical with or
-    /// without a cache hit.
+    /// Warmed-up per-worker states (full-kernel scratch, patch scratch,
+    /// hot-entry slots) returned by previous batch calls. Every batch entry
+    /// point checks one out per call — i.e. per worker thread — and returns
+    /// it afterwards, so buffers persist across generations instead of
+    /// being rebuilt every batch. Pure warm-up state, invisible to the
+    /// determinism contract: the kernel fully re-initializes what it reads,
+    /// and every score is bit-identical with or without a cache hit.
     lineage_pool: std::sync::Mutex<Vec<LineageState>>,
     /// The cross-thread parent-cache store: one rebuild per distinct parent
     /// serves every worker (see [`SharedParentCache`]). Bounded at
@@ -324,9 +324,9 @@ pub struct MvFitness<'a> {
     shared: SharedParentCache,
 }
 
-/// One worker's incremental-evaluation state: the per-thread patch scratch
-/// the read-only probes write into, the full kernel's scratch for
-/// fallbacks, and a few *hot slots* pinning recently used shared entries so
+/// One worker's evaluation state: the full kernel's scratch (plain batches
+/// and fallbacks), the per-thread patch scratch the read-only probes write
+/// into, and a few *hot slots* pinning recently used shared entries so
 /// repeat children of the same (elite) parent skip even the shard's read
 /// lock.
 #[derive(Debug, Default)]
@@ -359,8 +359,8 @@ const SHARED_CACHE_SHARDS: usize = 8;
 const SHARED_SHARD_CAPACITY: usize = 8;
 
 impl Clone for MvFitness<'_> {
-    /// Clones the evaluator configuration; the clone starts with empty
-    /// scratch pools and an empty shared cache (buffers and cached parents
+    /// Clones the evaluator configuration; the clone starts with an empty
+    /// worker-state pool and an empty shared cache (buffers and cached parents
     /// are warm-up state, not semantics).
     fn clone(&self) -> Self {
         MvFitness {
@@ -370,7 +370,6 @@ impl Clone for MvFitness<'_> {
             sliced: self.sliced.clone(),
             original_bits: self.original_bits,
             mode: self.mode,
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
             lineage_pool: std::sync::Mutex::new(Vec::new()),
             shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
         }
@@ -399,7 +398,6 @@ impl<'a> MvFitness<'a> {
             sliced: evotc_bits::SlicedHistogram::from_histogram(histogram),
             original_bits,
             mode: CombineMode::default(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
             lineage_pool: std::sync::Mutex::new(Vec::new()),
             shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
         }
@@ -538,20 +536,9 @@ impl<'a> MvFitness<'a> {
         let primary = self.lookup_memo(parents, parent_idx, state);
         let primary_cached = primary.is_some();
         if let Some(entry) = primary {
-            if let IncrementalOutcome::Size(size) = encoded_size_probe_bounded(
-                &self.sliced,
-                genes,
-                self.force_all_u,
-                edit,
-                entry.cache(),
-                &mut state.patch,
-            ) {
+            if let Some(scored) = self.probe(genes, edit, &entry, &mut state.patch) {
                 self.shared.record_hit();
-                return self.price(
-                    size,
-                    state.patch.last_scan_transitions(),
-                    state.patch.last_used_mvs(),
-                );
+                return scored;
             }
         }
         // The crossover donor path: the child equals `second` inside the
@@ -561,20 +548,10 @@ impl<'a> MvFitness<'a> {
         // pass the cost gate even when the primary's window did not).
         if let Some(donor_idx) = second_idx.filter(|&i| parents[i].len() == genes.len()) {
             if let Some(entry) = self.lookup_memo(parents, donor_idx, state) {
-                if let IncrementalOutcome::Size(size) = encoded_size_probe_bounded(
-                    &self.sliced,
-                    genes,
-                    self.force_all_u,
-                    &(0..genes.len()),
-                    entry.cache(),
-                    &mut state.patch,
-                ) {
+                if let Some(scored) = self.probe(genes, &(0..genes.len()), &entry, &mut state.patch)
+                {
                     self.shared.record_hit();
-                    return self.price(
-                        size,
-                        state.patch.last_scan_transitions(),
-                        state.patch.last_used_mvs(),
-                    );
+                    return scored;
                 }
             }
         }
@@ -594,25 +571,35 @@ impl<'a> MvFitness<'a> {
         if let Some(slot) = state.memo.get_mut(parent_idx) {
             *slot = Some(Some(Arc::clone(&entry)));
         }
-        let probe = encoded_size_probe_bounded(
+        let scored = self.probe(genes, edit, &entry, &mut state.patch);
+        Self::remember(state, entry);
+        scored.unwrap_or_else(|| {
+            self.shared.record_fallback();
+            self.evaluate_with_objectives(genes, &mut state.scratch)
+        })
+    }
+
+    /// Prices `genes` as an `edit` of a cached parent through the gated
+    /// read-only probe; `None` when the probe declines.
+    fn probe(
+        &self,
+        genes: &[Trit],
+        edit: &std::ops::Range<usize>,
+        entry: &ParentEntry,
+        patch: &mut crate::PatchScratch,
+    ) -> Option<(f64, Objectives)> {
+        match encoded_size_probe(
             &self.sliced,
             genes,
             self.force_all_u,
             edit,
             entry.cache(),
-            &mut state.patch,
-        );
-        Self::remember(state, entry);
-        match probe {
-            IncrementalOutcome::Size(size) => self.price(
-                size,
-                state.patch.last_scan_transitions(),
-                state.patch.last_used_mvs(),
-            ),
-            IncrementalOutcome::NeedsFull => {
-                self.shared.record_fallback();
-                self.evaluate_with_objectives(genes, &mut state.scratch)
+            patch,
+        ) {
+            IncrementalOutcome::Size(size) => {
+                Some(self.price(size, patch.last_scan_transitions(), patch.last_used_mvs()))
             }
+            IncrementalOutcome::NeedsFull => None,
         }
     }
 
@@ -795,12 +782,7 @@ impl<'a> MvFitness<'a> {
             panic!("injected evaluator fault");
         }
         self.shared.bump_generation();
-        let mut state = self
-            .lineage_pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default();
+        let mut state = self.checkout();
         state.memo.clear();
         state.memo.resize(parents.len(), None);
         for (i, (genes, lin)) in genomes.iter().zip(lineage).enumerate() {
@@ -823,6 +805,22 @@ impl<'a> MvFitness<'a> {
             };
             write(i, score, objectives);
         }
+        self.checkin(state);
+    }
+
+    /// Checks a warmed-up worker state out of the pool. A poisoned pool (a
+    /// panicking sibling worker) degrades to a fresh state; results are
+    /// unaffected either way.
+    fn checkout(&self) -> LineageState {
+        self.lineage_pool
+            .lock()
+            .ok()
+            .and_then(|mut pool| pool.pop())
+            .unwrap_or_default()
+    }
+
+    /// Returns a worker state to the pool for the next batch.
+    fn checkin(&self, state: LineageState) {
         if let Ok(mut pool) = self.lineage_pool.lock() {
             pool.push(state);
         }
@@ -837,8 +835,9 @@ impl FitnessEval<Trit> for MvFitness<'_> {
     /// One [`crate::EvalScratch`] per batch chunk: the parallel evaluator
     /// calls this exactly once per worker thread, so every worker reuses a
     /// single set of kernel buffers for its whole chunk — and the buffers
-    /// themselves are checked out of a pool on `self`, so they survive from
-    /// generation to generation instead of being reallocated per batch.
+    /// themselves are checked out of the worker-state pool on `self`, so
+    /// they survive from generation to generation instead of being
+    /// reallocated per batch.
     fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
         // Fault injection mirror of the lineage path: both batch entry
         // points answer to the same site name.
@@ -846,20 +845,11 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
             panic!("injected evaluator fault");
         }
-        // A poisoned pool (a panicking sibling worker) degrades to a fresh
-        // scratch; results are unaffected either way.
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default();
+        let mut state = self.checkout();
         for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
-            *slot = self.evaluate_scratch(genes, &mut scratch);
+            *slot = self.evaluate_scratch(genes, &mut state.scratch);
         }
-        if let Ok(mut pool) = self.scratch_pool.lock() {
-            pool.push(scratch);
-        }
+        self.checkin(state);
     }
 
     /// The incremental path. Children carrying provenance are priced as an

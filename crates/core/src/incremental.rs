@@ -35,17 +35,25 @@
 //! its *position* in covering order — is still a patch: the key comparison
 //! re-ranks the moved MV without renumbering anything.
 //!
+//! Three public entry points share one preamble (shape gate, lineage
+//! check, changed-chunk detection):
+//!
+//! * [`encoded_size_rebuild`] fully evaluates a genome into a cache;
+//! * [`encoded_size_incremental`] prices an edit of the cached genome,
+//!   ungated: `commit = false` is a read-only probe, so one cached parent
+//!   can price any number of speculative children, and `commit = true`
+//!   advances the cache to the child (mutation chains);
+//! * [`encoded_size_probe`] prices a child against a **shared**
+//!   `&EvalCache` — the per-call scratch lives in a caller-owned
+//!   [`PatchScratch`], so one immutable cached parent serves every thread
+//!   concurrently (see [`crate::SharedParentCache`]) — and declines
+//!   multi-chunk edits whose estimated patch cost exceeds a full rescan.
+//!
 //! The incremental path is **bit-identical** to the full kernel for every
-//! edit (enforced by `tests/props_incremental.rs` and the CI equivalence
-//! gate); it falls back (see [`IncrementalOutcome::NeedsFull`]) only when
-//! the cache is cold or shapes differ. Evaluating a child against its
-//! parent's cache is a *read-only probe* by default, so one cached parent
-//! can price any number of speculative children; pass `commit = true` to
-//! advance the cache to the child (mutation chains). For parents shared
-//! across worker threads, [`encoded_size_probe`] prices a child against a
-//! `&EvalCache` — the per-call scratch lives in a caller-owned
-//! [`PatchScratch`], so one immutable cached parent serves every thread
-//! concurrently (see [`crate::SharedParentCache`]).
+//! edit it prices (enforced by `tests/props_incremental.rs` and the CI
+//! equivalence gate); it falls back (see [`IncrementalOutcome::NeedsFull`])
+//! only when the cache is cold, shapes differ, or the probe's cost gate
+//! judges a rescan cheaper.
 
 use std::ops::Range;
 
@@ -309,8 +317,9 @@ pub enum IncrementalOutcome {
     /// `None` if its covering is impossible — exactly what
     /// [`crate::encoded_size_scratch`] returns for the same genome.
     Size(Option<u64>),
-    /// The edit cannot be applied incrementally (cold cache or shape
-    /// mismatch); run the full kernel instead.
+    /// The edit cannot be applied incrementally (cold cache, shape
+    /// mismatch, or — [`encoded_size_probe`] only — a patch estimated
+    /// costlier than a full rescan); run the full kernel instead.
     NeedsFull,
 }
 
@@ -509,60 +518,55 @@ pub fn encoded_size_incremental(
     cache: &mut EvalCache,
 ) -> IncrementalOutcome {
     let EvalCache { state, scratch } = cache;
-    if !shapes_match(sliced, genes, force_all_u, edit, state) {
-        return IncrementalOutcome::NeedsFull;
-    }
-    debug_assert!(genome_matches_cache_outside(
-        state,
-        genes,
-        sliced.block_len(),
-        edit
-    ));
-    if edit.start == edit.end {
-        record_parent_objectives(state, scratch);
-        return IncrementalOutcome::Size(state.total);
-    }
-    detect_changed_chunks(sliced, genes, force_all_u, edit, state, scratch);
+    let total = match plan(sliced, genes, force_all_u, edit, state, scratch, None) {
+        Plan::NeedsFull => return IncrementalOutcome::NeedsFull,
+        Plan::Unchanged => state.total,
+        Plan::Patch => match scratch.edited[..] {
+            [(i, nspec, nvalue)] => {
+                let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
+                if commit {
+                    commit_single(state, scratch, &patch);
+                }
+                patch.total
+            }
+            _ => {
+                let patch = probe_multi(sliced, state, scratch);
+                if commit {
+                    commit_multi(state, scratch, &patch);
+                }
+                patch.total
+            }
+        },
+    };
     // Adopting the child includes adopting its genes: outside `edit` they
     // equal the cached genome by the lineage contract, so syncing the
     // window keeps `state.genes` exact for the next detection fast path.
-    match scratch.edited.len() {
-        0 => {
-            if commit {
-                state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-            }
-            record_parent_objectives(state, scratch);
-            IncrementalOutcome::Size(state.total) // edit was inert
-        }
-        1 => {
-            let (i, nspec, nvalue) = scratch.edited[0];
-            let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-            if commit {
-                commit_single(state, scratch, &patch);
-                state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-            }
-            IncrementalOutcome::Size(patch.total)
-        }
-        _ => {
-            let patch = probe_multi(sliced, state, scratch);
-            if commit {
-                commit_multi(state, scratch, &patch);
-                state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-            }
-            IncrementalOutcome::Size(patch.total)
-        }
+    if commit {
+        state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
     }
+    IncrementalOutcome::Size(total)
 }
 
-/// Read-only form of [`encoded_size_incremental`]: prices a child against a
-/// **shared** parent cache without ever writing to it, keeping the per-call
-/// working memory in a caller-owned [`PatchScratch`].
+/// Read-only, cost-gated form of [`encoded_size_incremental`]: prices a
+/// child against a **shared** parent cache without ever writing to it,
+/// keeping the per-call working memory in a caller-owned [`PatchScratch`].
 ///
 /// This is the entry point for cross-thread cache sharing (see
 /// [`crate::SharedParentCache`]): any number of worker threads can probe
-/// the same `&EvalCache` concurrently, each with its own scratch. Results
-/// are bit-identical to [`encoded_size_incremental`] with `commit = false`
-/// over the same inputs.
+/// the same `&EvalCache` concurrently, each with its own scratch.
+///
+/// The multi-chunk path is **cost-gated**: when the estimated
+/// ownership-patch work exceeds the estimated cost of a full rescan, the
+/// probe answers [`IncrementalOutcome::NeedsFull`] up front instead of
+/// paying patch overhead for no savings. The estimate comes from the
+/// parent's owned-bitset popcounts: patching a chunk re-flows every block
+/// the edited MV owned, and each orphan costs a mask OR over `K` MV-major
+/// columns plus matcher key evaluations — for an inversion-scrambled parent
+/// whose edited MVs own a large share of the blocks, that approaches (or
+/// exceeds) the `L·(K+2)·words` word-ops of the full kernel. Empty and
+/// single-chunk edits are never gated. Whenever the probe answers `Size`,
+/// the result is bit-identical to [`encoded_size_incremental`] with
+/// `commit = false` over the same inputs (it runs the identical patch).
 ///
 /// # Example
 ///
@@ -581,13 +585,22 @@ pub fn encoded_size_incremental(
 /// let mut cache = EvalCache::new();
 /// encoded_size_rebuild(&sliced, &parent, false, &mut cache);
 ///
-/// // An inversion window spanning two MV chunks, probed via `&EvalCache`.
+/// // A one-chunk mutation, probed via `&EvalCache`: never gated.
 /// let mut child = parent.clone();
-/// child[2..7].reverse();
+/// child[5] = Trit::One;
 /// let mut scratch = PatchScratch::new();
-/// let probe = encoded_size_probe(&sliced, &child, false, &(2..7), &cache, &mut scratch);
+/// let probe = encoded_size_probe(&sliced, &child, false, &(5..6), &cache, &mut scratch);
 /// let full = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
 /// assert_eq!(probe, IncrementalOutcome::Size(full));
+///
+/// // An inversion spanning two chunks may be gated: fall back to the kernel.
+/// let mut child = parent.clone();
+/// child[2..7].reverse();
+/// let full = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
+/// match encoded_size_probe(&sliced, &child, false, &(2..7), &cache, &mut scratch) {
+///     IncrementalOutcome::Size(size) => assert_eq!(size, full),
+///     IncrementalOutcome::NeedsFull => {}
+/// }
 /// # Ok(())
 /// # }
 /// ```
@@ -600,119 +613,104 @@ pub fn encoded_size_probe(
     scratch: &mut PatchScratch,
 ) -> IncrementalOutcome {
     let state = &cache.state;
-    if !shapes_match(sliced, genes, force_all_u, edit, state) {
-        return IncrementalOutcome::NeedsFull;
-    }
-    debug_assert!(genome_matches_cache_outside(
-        state,
-        genes,
-        sliced.block_len(),
-        edit
-    ));
-    if edit.start == edit.end {
-        record_parent_objectives(state, scratch);
-        return IncrementalOutcome::Size(state.total);
-    }
-    detect_changed_chunks(sliced, genes, force_all_u, edit, state, scratch);
-    match scratch.edited.len() {
-        0 => {
-            record_parent_objectives(state, scratch);
-            IncrementalOutcome::Size(state.total)
-        }
-        1 => {
-            let (i, nspec, nvalue) = scratch.edited[0];
-            let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-            IncrementalOutcome::Size(patch.total)
-        }
-        _ => IncrementalOutcome::Size(probe_multi(sliced, state, scratch).total),
-    }
+    let budget = Some(full_rescan_cost(state));
+    let total = match plan(sliced, genes, force_all_u, edit, state, scratch, budget) {
+        Plan::NeedsFull => return IncrementalOutcome::NeedsFull,
+        Plan::Unchanged => state.total,
+        Plan::Patch => match scratch.edited[..] {
+            [(i, nspec, nvalue)] => {
+                probe_single(sliced, state, scratch, i as usize, nspec, nvalue).total
+            }
+            _ => probe_multi(sliced, state, scratch).total,
+        },
+    };
+    IncrementalOutcome::Size(total)
 }
 
-/// The child equals the cached parent: its side-channel objectives are the
-/// parent's own.
-fn record_parent_objectives(state: &CoverState, scratch: &mut PatchScratch) {
-    scratch.last_transitions = state.scan_transitions;
-    scratch.last_used = state.huffman.leaves().len();
+/// What the shared preamble of both pricing entry points decided.
+enum Plan {
+    /// Not incrementally priceable: cold cache, mismatched shape, or a
+    /// multi-chunk patch estimated costlier than the budget.
+    NeedsFull,
+    /// No chunk's planes changed: the child prices as the cached parent
+    /// (whose side-channel objectives are already in the scratch).
+    Unchanged,
+    /// `scratch.edited` holds the changed chunks (at least one).
+    Patch,
 }
 
-/// [`encoded_size_probe`] with a **cost gate** on the multi-chunk path:
-/// when the estimated ownership-patch work exceeds the estimated cost of a
-/// full rescan, the probe answers [`IncrementalOutcome::NeedsFull`] up
-/// front instead of paying patch overhead for no savings.
+/// The one preamble of [`encoded_size_incremental`] and
+/// [`encoded_size_probe`]: the warm/shape/edit validity gate (block length,
+/// genome length, distinct-block count and word width, `force_all_u`), the
+/// lineage
+/// contract check, and the chunk detection — the chunks the edit window
+/// overlaps are decoded and those whose planes actually changed recorded
+/// into `scratch.edited` (ascending chunk order). `force_all_u` pins the
+/// last chunk to all-`U` regardless of its genes, so edits there are inert.
 ///
-/// The estimate comes from the parent's owned-bitset popcounts: patching a
-/// chunk re-flows every block the edited MV owned, and each orphan costs a
-/// mask OR over `K` MV-major columns plus matcher key evaluations — for an
-/// inversion-scrambled parent whose edited MVs own a large share of the
-/// blocks, that approaches (or exceeds) the `L·(K+2)·words` word-ops of the
-/// full kernel. Whenever this gate answers `Size`, the result is
-/// bit-identical to [`encoded_size_probe`] (it runs the identical patch);
-/// the gate only converts *slow* incremental answers into `NeedsFull`, so
-/// callers fall back to the full kernel exactly when that is the cheaper
-/// path. Empty and single-chunk edits are never gated.
-pub fn encoded_size_probe_bounded(
+/// With a `budget` (in [`full_rescan_cost`] units), the patch-cost estimate
+/// accumulates as changed chunks are found, and the walk stops the moment a
+/// multi-chunk patch is already estimated costlier than the budget — the
+/// rest of the window (for an inversion child, possibly dozens of chunks)
+/// never gets decoded just to confirm a foregone answer.
+fn plan(
     sliced: &SlicedHistogram,
     genes: &[Trit],
     force_all_u: bool,
     edit: &Range<usize>,
-    cache: &EvalCache,
+    state: &CoverState,
     scratch: &mut PatchScratch,
-) -> IncrementalOutcome {
-    let state = &cache.state;
-    if !shapes_match(sliced, genes, force_all_u, edit, state) {
-        return IncrementalOutcome::NeedsFull;
-    }
-    debug_assert!(genome_matches_cache_outside(
-        state,
-        genes,
-        sliced.block_len(),
-        edit
-    ));
-    if edit.start == edit.end {
-        record_parent_objectives(state, scratch);
-        return IncrementalOutcome::Size(state.total);
-    }
-    // Budgeted chunk detection: the same window walk as the unbounded
-    // probe, but the patch-cost estimate accumulates as changed chunks are
-    // found, and the walk stops the moment a multi-chunk patch is already
-    // estimated costlier than a full rescan — the rest of the window (for
-    // an inversion child, possibly dozens of chunks) never gets decoded
-    // just to confirm a foregone answer.
+    budget: Option<u64>,
+) -> Plan {
     let k = sliced.block_len();
-    let l = genes.len() / k;
-    let chunk_lo = edit.start / k;
-    let chunk_hi = (edit.end - 1) / k;
-    let bound = full_rescan_cost(state);
-    let mut cost = patch_copy_cost(state);
+    let shapes_match = state.warm
+        && !genes.is_empty()
+        && genes.len() % k == 0
+        && state.shape
+            == (
+                k,
+                genes.len() / k.max(1),
+                sliced.num_distinct(),
+                sliced.words_per_column(),
+                force_all_u,
+            )
+        && edit.end <= genes.len()
+        && edit.start <= edit.end;
+    if !shapes_match {
+        return Plan::NeedsFull;
+    }
+    debug_assert!(genome_matches_cache_outside(state, genes, k, edit));
     scratch.edited.clear();
-    for i in chunk_lo..=chunk_hi {
-        if trits_equal(&genes[i * k..(i + 1) * k], &state.genes[i * k..(i + 1) * k]) {
-            continue; // identical trits decode to identical planes
-        }
-        let (spec, value) = if force_all_u && i == l - 1 {
-            (0, 0)
-        } else {
-            decode_chunk(&genes[i * k..(i + 1) * k])
-        };
-        if (spec, value) != (state.spec[i], state.value[i]) {
+    if edit.start < edit.end {
+        let l = genes.len() / k;
+        let mut cost = patch_copy_cost(state);
+        for i in edit.start / k..=(edit.end - 1) / k {
+            if trits_equal(&genes[i * k..(i + 1) * k], &state.genes[i * k..(i + 1) * k]) {
+                continue; // identical trits decode to identical planes
+            }
+            let (spec, value) = if force_all_u && i == l - 1 {
+                (0, 0)
+            } else {
+                decode_chunk(&genes[i * k..(i + 1) * k])
+            };
+            if (spec, value) == (state.spec[i], state.value[i]) {
+                continue;
+            }
             scratch.edited.push((i as u32, spec, value));
-            cost += chunk_patch_cost(state, i);
-            if scratch.edited.len() >= 2 && cost > bound {
-                return IncrementalOutcome::NeedsFull;
+            if let Some(bound) = budget {
+                cost += chunk_patch_cost(state, i);
+                if scratch.edited.len() >= 2 && cost > bound {
+                    return Plan::NeedsFull;
+                }
             }
         }
     }
-    match scratch.edited.len() {
-        0 => {
-            record_parent_objectives(state, scratch);
-            IncrementalOutcome::Size(state.total)
-        }
-        1 => {
-            let (i, nspec, nvalue) = scratch.edited[0];
-            let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-            IncrementalOutcome::Size(patch.total)
-        }
-        _ => IncrementalOutcome::Size(probe_multi(sliced, state, scratch).total),
+    if scratch.edited.is_empty() {
+        scratch.last_transitions = state.scan_transitions;
+        scratch.last_used = state.huffman.leaves().len();
+        Plan::Unchanged
+    } else {
+        Plan::Patch
     }
 }
 
@@ -749,62 +747,6 @@ fn chunk_patch_cost(state: &CoverState, chunk: usize) -> u64 {
         .map(|w| w.count_ones() as u64)
         .sum();
     ((k + 4) * words) as u64 + owned * per_orphan
-}
-
-/// The warm/shape/edit validity gate shared by both entry points.
-fn shapes_match(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    force_all_u: bool,
-    edit: &Range<usize>,
-    state: &CoverState,
-) -> bool {
-    let k = sliced.block_len();
-    state.warm
-        && !genes.is_empty()
-        && genes.len() % k == 0
-        && state.shape
-            == (
-                k,
-                genes.len() / k.max(1),
-                sliced.num_distinct(),
-                sliced.words_per_column(),
-                force_all_u,
-            )
-        && edit.end <= genes.len()
-        && edit.start <= edit.end
-}
-
-/// Decodes the chunks the edit window overlaps and records those whose
-/// planes actually changed into `scratch.edited` (ascending chunk order).
-/// `force_all_u` pins the last chunk to all-`U` regardless of its genes, so
-/// edits there are inert.
-fn detect_changed_chunks(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    force_all_u: bool,
-    edit: &Range<usize>,
-    state: &CoverState,
-    scratch: &mut PatchScratch,
-) {
-    let k = sliced.block_len();
-    let l = genes.len() / k;
-    let chunk_lo = edit.start / k;
-    let chunk_hi = (edit.end - 1) / k;
-    scratch.edited.clear();
-    for i in chunk_lo..=chunk_hi {
-        if trits_equal(&genes[i * k..(i + 1) * k], &state.genes[i * k..(i + 1) * k]) {
-            continue; // identical trits decode to identical planes
-        }
-        let (spec, value) = if force_all_u && i == l - 1 {
-            (0, 0)
-        } else {
-            decode_chunk(&genes[i * k..(i + 1) * k])
-        };
-        if (spec, value) != (state.spec[i], state.value[i]) {
-            scratch.edited.push((i as u32, spec, value));
-        }
-    }
 }
 
 /// Branchless trit-slice equality (an OR-reduction of index XORs — the
@@ -1569,8 +1511,7 @@ fn touch(touched: &mut Vec<(u32, u64)>, touch_epoch: &mut [u64], epoch: u64, fre
 /// Debug-build check of the lineage contract: outside the edited chunks the
 /// genome must decode to exactly the cached planes. A caller handing a
 /// genome with undeclared differences would silently get the wrong fitness;
-/// this makes it loud where tests run.
-#[cfg(debug_assertions)]
+/// this makes it loud where tests run (release builds never call it).
 fn genome_matches_cache_outside(
     state: &CoverState,
     genes: &[Trit],
@@ -1598,19 +1539,6 @@ fn genome_matches_cache_outside(
             return false;
         }
     }
-    true
-}
-
-/// Release builds compile the `debug_assert!` call away to a constant, so
-/// the contract check costs nothing on the hot path.
-#[cfg(not(debug_assertions))]
-#[inline(always)]
-fn genome_matches_cache_outside(
-    _state: &CoverState,
-    _genes: &[Trit],
-    _k: usize,
-    _edit: &Range<usize>,
-) -> bool {
     true
 }
 
@@ -1684,9 +1612,9 @@ mod tests {
     }
 
     /// Applies every `width`-gene window rewrite to `parent` and checks the
-    /// incremental price (probe, shared probe, and commit) against the full
-    /// kernel. Windows straddle chunk boundaries by construction whenever
-    /// `width > 1` and the genome has several chunks.
+    /// incremental price (ungated probe, gated shared probe, and commit)
+    /// against the full kernel. Windows straddle chunk boundaries by
+    /// construction whenever `width > 1` and the genome has several chunks.
     fn exhaustive_window_edits(
         sliced: &SlicedHistogram,
         parent: &[Trit],
@@ -1706,23 +1634,37 @@ mod tests {
             let expect = encoded_size_scratch(sliced, &child, force, &mut scratch);
             let expect_trans = scratch.last_scan_transitions();
             let expect_used = scratch.last_used_mvs();
-            let shared =
-                encoded_size_probe(sliced, &child, force, &edit, &cache, &mut probe_scratch);
+            let ungated = encoded_size_incremental(sliced, &child, force, &edit, false, &mut cache);
             assert_eq!(
-                shared,
+                ungated,
                 IncrementalOutcome::Size(expect),
-                "shared probe start {start} width {width}"
+                "ungated probe start {start} width {width}"
             );
             assert_eq!(
-                probe_scratch.last_scan_transitions(),
+                cache.scratch.last_scan_transitions(),
                 expect_trans,
                 "probe transitions start {start} width {width}"
             );
             assert_eq!(
-                probe_scratch.last_used_mvs(),
+                cache.scratch.last_used_mvs(),
                 expect_used,
                 "probe used start {start} width {width}"
             );
+            // The gated shared probe answers the same, or `NeedsFull` —
+            // never for a window inside one chunk.
+            let k = sliced.block_len();
+            match encoded_size_probe(sliced, &child, force, &edit, &cache, &mut probe_scratch) {
+                IncrementalOutcome::Size(got) => {
+                    assert_eq!(got, expect, "shared probe start {start} width {width}");
+                    assert_eq!(probe_scratch.last_scan_transitions(), expect_trans);
+                    assert_eq!(probe_scratch.last_used_mvs(), expect_used);
+                }
+                IncrementalOutcome::NeedsFull => assert_ne!(
+                    start / k,
+                    (start + width - 1) / k,
+                    "gated a one-chunk window at {start} width {width}"
+                ),
+            }
             for commit in [false, true] {
                 let got =
                     encoded_size_incremental(sliced, &child, force, &edit, commit, &mut cache);
@@ -1785,7 +1727,7 @@ mod tests {
                         }
                         let edit = start..start + width;
                         let expect = encoded_size_scratch(&sliced, &child, force, &mut scratch);
-                        match encoded_size_probe_bounded(
+                        match encoded_size_probe(
                             &sliced,
                             &child,
                             force,
@@ -1810,7 +1752,7 @@ mod tests {
     }
 
     /// Empty and single-chunk edits bypass the gate entirely: bit-identical
-    /// behavior to the plain probe, `Size` always.
+    /// behavior to the ungated probe, `Size` always.
     #[test]
     fn bounded_probe_never_gates_cheap_edits() {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
@@ -1820,14 +1762,7 @@ mod tests {
         let mut probe_scratch = PatchScratch::new();
         // Empty edit: the cached size.
         assert_eq!(
-            encoded_size_probe_bounded(
-                &sliced,
-                &parent,
-                false,
-                &(3..3),
-                &cache,
-                &mut probe_scratch
-            ),
+            encoded_size_probe(&sliced, &parent, false, &(3..3), &cache, &mut probe_scratch),
             IncrementalOutcome::Size(cache.encoded_size()),
         );
         // Every single-gene edit stays within one chunk and must be priced.
@@ -1836,7 +1771,7 @@ mod tests {
             let mut child = parent.clone();
             child[pos] = Trit::from_index(((pos + 1) % 3) as u8);
             let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let bounded = encoded_size_probe_bounded(
+            let bounded = encoded_size_probe(
                 &sliced,
                 &child,
                 false,
@@ -1845,13 +1780,13 @@ mod tests {
                 &mut probe_scratch,
             );
             assert_eq!(bounded, IncrementalOutcome::Size(expect), "pos {pos}");
-            let plain = encoded_size_probe(
+            let plain = encoded_size_incremental(
                 &sliced,
                 &child,
                 false,
                 &(pos..pos + 1),
-                &cache,
-                &mut probe_scratch,
+                false,
+                &mut cache,
             );
             assert_eq!(bounded, plain, "pos {pos}");
         }
@@ -1866,7 +1801,7 @@ mod tests {
         let cache = EvalCache::new();
         let mut probe_scratch = PatchScratch::new();
         assert_eq!(
-            encoded_size_probe_bounded(&sliced, &child, false, &(0..4), &cache, &mut probe_scratch),
+            encoded_size_probe(&sliced, &child, false, &(0..4), &cache, &mut probe_scratch),
             IncrementalOutcome::NeedsFull,
         );
     }

@@ -1,13 +1,14 @@
 //! A sharded, read-mostly parent-cache shared across worker threads.
 //!
-//! PR 4's incremental path kept one LRU list of [`EvalCache`]s *per worker
-//! state*, so a hot elite parent — bred against by most of a generation's
-//! children — was rebuilt and stored once per thread. This module hoists
-//! the caches into one [`SharedParentCache`] owned by the evaluator (which
-//! every worker already borrows): a parent is rebuilt **once**, its entry
-//! is immutable from then on, and every thread prices children against it
-//! through the read-only [`crate::encoded_size_probe`] with a per-thread
-//! [`crate::PatchScratch`].
+//! A hot elite parent is bred against by most of a generation's children,
+//! on every worker thread. [`SharedParentCache`], owned by the evaluator
+//! (which every worker already borrows), holds one [`EvalCache`] per
+//! parent: a parent is rebuilt **once**, its entry is immutable from then
+//! on, and every thread prices children against it through the read-only,
+//! cost-gated [`crate::encoded_size_probe`] with a per-thread
+//! [`crate::PatchScratch`]. Edits the gate declines (a multi-chunk patch
+//! estimated costlier than a rescan) fall back to the full kernel; the
+//! entry stays as it was.
 //!
 //! # Design
 //!

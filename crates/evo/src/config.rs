@@ -17,7 +17,12 @@ use crate::supervisor::IslandPanicPolicy;
 /// count (each island owns a seeded RNG stream derived from the run seed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Topology {
-    /// One panmictic population (the paper's setup).
+    /// One panmictic population (the paper's setup). The engine runs it as
+    /// a one-island run — one-generation epochs, no migration — on the raw
+    /// [`EaConfig::seed`] RNG stream, scoring each generation's batch on
+    /// up to [`EaConfig::threads`] workers. It is not the same run as
+    /// `Islands { count: 1, .. }`, whose one island draws from a stream
+    /// derived from the seed and reports per-island events.
     #[default]
     Panmictic,
     /// `count` subpopulations with deterministic ring migration.

@@ -1,4 +1,5 @@
-//! The (S + C) evolutionary engine: panmictic and island-model runners.
+//! The (S + C) evolutionary engine: one run loop for the panmictic and
+//! island-model topologies.
 
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,8 +39,11 @@ type CheckpointSink<'s, G> = Box<dyn FnMut(&EaCheckpoint<G>) -> Result<(), Check
 /// pooled per-population batch (no per-child allocation in the steady
 /// state), and the whole batch is scored at once — on up to
 /// [`EaConfig::threads`] worker threads for a panmictic run, or one island
-/// per worker for an island run (see [`Topology`]). Results are
-/// bit-identical for every thread count.
+/// per worker for an island run (see [`Topology`]). Both topologies run
+/// through the same loop: a panmictic run is a one-island run with a
+/// one-generation epoch and no migration, on the raw [`EaConfig::seed`]
+/// RNG stream (an island run derives one stream per island from it).
+/// Results are bit-identical for every thread count.
 ///
 /// # Example
 ///
@@ -187,9 +191,9 @@ impl<G> Default for ChildBatch<G> {
     }
 }
 
-/// One subpopulation's complete evolutionary state. A panmictic run is one
-/// of these on the calling thread; an island run owns `count` of them,
-/// distributed over worker threads epoch by epoch. Everything an island
+/// One subpopulation's complete evolutionary state. A panmictic run owns
+/// one of these, run on the calling thread; an island run owns `count` of
+/// them, distributed over worker threads epoch by epoch. Everything an island
 /// touches during an epoch lives here, which is what makes island
 /// parallelism deterministic by construction.
 struct IslandState<G> {
@@ -361,28 +365,9 @@ where
     /// the restored history prefix is not replayed through the observer.
     pub fn try_run_with_observer(
         self,
-        observer: impl FnMut(&GenerationEvent<'_>),
-    ) -> Result<EaResult<G>, EaError> {
-        self.config.validate();
-        match self.config.topology {
-            Topology::Panmictic => self.run_panmictic(observer),
-            Topology::Islands {
-                count,
-                interval,
-                migrants,
-            } => self.run_islands(observer, count, interval, migrants),
-        }
-    }
-
-    /// The paper's single-population loop, preserved bit for bit from the
-    /// pre-island engine: one RNG stream, termination checked every
-    /// generation. Stop conditions (including deadline and cancellation)
-    /// are checked at the top of every generation; checkpoints are captured
-    /// at the bottom, so a capture always reflects a complete generation.
-    fn run_panmictic(
-        self,
         mut observer: impl FnMut(&GenerationEvent<'_>),
     ) -> Result<EaResult<G>, EaError> {
+        self.config.validate();
         let start = Instant::now();
         let threads = parallel::resolve_threads(self.config.threads);
         let EaBuilder {
@@ -398,160 +383,30 @@ where
         } = self;
         let fingerprint = config_fingerprint(&config, genome_len);
 
-        let mut history: Vec<GenerationStats>;
-        let mut island: IslandState<G>;
-        let mut best_so_far: f64;
-        let mut stagnant: usize;
-        let mut generation: u64;
-
-        let record = |island: &IslandState<G>, generation: u64, start: Instant| {
-            let mut stats = population_stats(&island.population, generation, island.evaluations);
-            stats.elapsed = start.elapsed();
-            stats.cache = fitness.cache_stats();
-            stats
+        // The one run loop: `count` subpopulations evolve in lockstep
+        // epochs of `interval` generations, then the rank-best `migrants`
+        // of each island replace the worst of its ring successor. Each
+        // island owns an RNG stream derived from the run seed, so the
+        // trajectory is a pure function of (seed, topology, config) —
+        // worker threads only decide which islands run concurrently, never
+        // what they compute. A panmictic run is the one-island case with
+        // interval 1 and no migrants, kept on the raw seed stream: it
+        // spends its threads inside each generation's batch instead of
+        // across islands, and reports only merged events.
+        let panmictic = config.topology == Topology::Panmictic;
+        let (count, interval, migrants) = match config.topology {
+            Topology::Panmictic => (1, 1, 0),
+            Topology::Islands {
+                count,
+                interval,
+                migrants,
+            } => (count, interval, migrants),
         };
-
-        if let Some(cp) = resume {
-            validate_checkpoint(&cp, &config, genome_len, 1)?;
-            island = restore_island(&cp.islands[0], &config);
-            history = restore_history(&cp.history);
-            best_so_far = cp.best_so_far;
-            stagnant = cp.stagnant as usize;
-            generation = cp.generation;
+        let (workers, eval_threads) = if panmictic {
+            (1, threads)
         } else {
-            island = match catch_unwind(AssertUnwindSafe(|| {
-                init_island(
-                    &config,
-                    StdRng::seed_from_u64(config.seed),
-                    genome_len,
-                    &mut seeds,
-                    &sample_gene,
-                    &fitness,
-                    threads,
-                )
-            })) {
-                Ok(island) => island,
-                Err(payload) => {
-                    return Err(EaError::IslandFailed {
-                        island: 0,
-                        generation: 0,
-                        message: panic_message(payload),
-                    })
-                }
-            };
-            history = Vec::new();
-            let initial = record(&island, 0, start);
-            observer(&GenerationEvent::Merged(&initial));
-            history.push(initial);
-            best_so_far = island.population[0].fitness;
-            stagnant = 0;
-            generation = 0;
-        }
-
-        let mut checkpoint_failures: u64 = 0;
-        let mut last_checkpoint = generation;
-
-        let stop_reason = loop {
-            if let Some(reason) = stop_reason_at(
-                &config,
-                &cancel,
-                start,
-                stagnant,
-                island.evaluations,
-                generation,
-            ) {
-                break reason;
-            }
-            generation += 1;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                step(&config, &sample_gene, &fitness, threads, &mut island)
-            })) {
-                // A panmictic run has no healthy island to degrade to, so
-                // the panic policy does not apply: fail with the typed
-                // error either way.
-                return Err(EaError::IslandFailed {
-                    island: 0,
-                    generation,
-                    message: panic_message(payload),
-                });
-            }
-
-            if island.population[0].fitness > best_so_far {
-                best_so_far = island.population[0].fitness;
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            let stats = record(&island, generation, start);
-            observer(&GenerationEvent::Merged(&stats));
-            history.push(stats);
-
-            if checkpoint_every > 0 && generation - last_checkpoint >= checkpoint_every {
-                last_checkpoint = generation;
-                save_checkpoint(&mut sink, &mut checkpoint_failures, || EaCheckpoint {
-                    config_fingerprint: fingerprint,
-                    genome_len,
-                    generation,
-                    stagnant: stagnant as u64,
-                    best_so_far,
-                    history: history_records(&history),
-                    islands: vec![capture_island(&island, false)],
-                });
-            }
+            (threads.min(count), 1)
         };
-
-        let pareto_front = island
-            .archive
-            .as_ref()
-            .map(|a| a.reported().to_vec())
-            .unwrap_or_default();
-        let best = &island.population[0];
-        Ok(EaResult {
-            best_genome: best.genes.clone(),
-            best_fitness: best.fitness,
-            generations: generation,
-            evaluations: island.evaluations,
-            history,
-            elapsed: start.elapsed(),
-            cache: fitness.cache_stats(),
-            pareto_front,
-            stop_reason,
-            quarantined: Vec::new(),
-            checkpoint_failures,
-        })
-    }
-
-    /// The island-model loop: `count` subpopulations evolve in lockstep
-    /// epochs of `interval` generations, then the rank-best `migrants` of
-    /// each island replace the worst of its ring successor. Each island
-    /// owns an RNG stream derived from the run seed, so the trajectory is a
-    /// pure function of (seed, topology, config) — worker threads only
-    /// decide which islands run concurrently, never what they compute.
-    ///
-    /// Termination (stagnation of the merged best, the evaluation budget,
-    /// the generation cap) is checked at epoch boundaries; a run can
-    /// overshoot the stagnation limit or the budget by up to one epoch.
-    fn run_islands(
-        self,
-        mut observer: impl FnMut(&GenerationEvent<'_>),
-        count: usize,
-        interval: u64,
-        migrants: usize,
-    ) -> Result<EaResult<G>, EaError> {
-        let start = Instant::now();
-        let workers = parallel::resolve_threads(self.config.threads).min(count);
-        let EaBuilder {
-            config,
-            genome_len,
-            sample_gene,
-            fitness,
-            mut seeds,
-            cancel,
-            checkpoint_every,
-            mut sink,
-            resume,
-        } = self;
-        let fingerprint = config_fingerprint(&config, genome_len);
 
         let mut history: Vec<GenerationStats> = Vec::new();
         let mut quarantined = vec![false; count];
@@ -579,7 +434,13 @@ where
             for g in 0..logged {
                 let mut evaluations = frozen;
                 let mut mean_sum = 0.0;
-                let mut best = f64::NEG_INFINITY;
+                // `NaN.max(x) == x`: the panmictic merge reports its one
+                // population's best verbatim, NaN included.
+                let mut best = if panmictic {
+                    f64::NAN
+                } else {
+                    f64::NEG_INFINITY
+                };
                 let mut contributors = 0usize;
                 let mut generation = 0;
                 for (i, island) in islands.iter().enumerate() {
@@ -591,7 +452,9 @@ where
                         generation = stats.generation;
                     }
                     debug_assert_eq!(stats.generation, generation);
-                    observer(&GenerationEvent::Island { island: i, stats });
+                    if !panmictic {
+                        observer(&GenerationEvent::Island { island: i, stats });
+                    }
                     evaluations += stats.evaluations;
                     mean_sum += stats.mean_fitness;
                     best = best.max(stats.best_fitness);
@@ -644,7 +507,11 @@ where
             // island 0.
             islands = Vec::with_capacity(count);
             for i in 0..count {
-                let rng = StdRng::seed_from_u64(island_seed(config.seed, i as u64));
+                let rng = StdRng::seed_from_u64(if panmictic {
+                    config.seed
+                } else {
+                    island_seed(config.seed, i as u64)
+                });
                 let mut island_seeds = if i == 0 {
                     std::mem::take(&mut seeds)
                 } else {
@@ -658,7 +525,7 @@ where
                         &mut island_seeds,
                         &sample_gene,
                         &fitness,
-                        1,
+                        eval_threads,
                     )
                 })) {
                     Ok(island) => islands.push(island),
@@ -677,11 +544,7 @@ where
 
             // Initial populations (generation 0).
             for island in islands.iter_mut() {
-                let stats = population_stats(&island.population, 0, island.evaluations);
-                island.epoch_log.push(GenerationStats {
-                    elapsed: start.elapsed(),
-                    ..stats
-                });
+                island.log_generation(0, start);
             }
             merge(&mut islands, &quarantined, &mut observer, &mut history);
 
@@ -694,6 +557,10 @@ where
         let mut checkpoint_failures: u64 = 0;
         let mut last_checkpoint = generation;
 
+        // Termination (stagnation of the merged best, the evaluation
+        // budget, the generation cap) is checked at epoch boundaries; an
+        // island run can overshoot the stagnation limit or the budget by up
+        // to one epoch.
         let stop_reason = loop {
             if let Some(reason) =
                 stop_reason_at(&config, &cancel, start, stagnant, total_evals, generation)
@@ -703,18 +570,13 @@ where
             let epoch_gens = interval.min(config.max_generations - generation);
             let failures = for_each_island(&mut islands, &quarantined, workers, |island| {
                 for g in 0..epoch_gens {
-                    step(&config, &sample_gene, &fitness, 1, island);
-                    let stats = population_stats(
-                        &island.population,
-                        generation + g + 1,
-                        island.evaluations,
-                    );
-                    island.epoch_log.push(GenerationStats {
-                        elapsed: start.elapsed(),
-                        ..stats
-                    });
+                    step(&config, &sample_gene, &fitness, eval_threads, island);
+                    island.log_generation(generation + g + 1, start);
                 }
             });
+            // A panmictic failure names the generation it broke in; an
+            // island failure names the epoch boundary it surfaced at.
+            let failed_at = generation + u64::from(panmictic);
             let mut last_failure: Option<(usize, String)> = None;
             for (i, failure) in failures.into_iter().enumerate() {
                 let Some(message) = failure else { continue };
@@ -722,7 +584,7 @@ where
                     IslandPanicPolicy::Fail => {
                         return Err(EaError::IslandFailed {
                             island: i,
-                            generation,
+                            generation: failed_at,
                             message,
                         });
                     }
@@ -737,12 +599,14 @@ where
                     }
                 }
             }
+            // Quarantining the last healthy island — a panmictic run's
+            // only one — fails the run after all.
             if quarantined.iter().all(|&q| q) {
                 let (island, message) =
                     last_failure.expect("all islands quarantined implies a failure this epoch");
                 return Err(EaError::IslandFailed {
                     island,
-                    generation,
+                    generation: failed_at,
                     message,
                 });
             }
@@ -874,8 +738,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The single stop check, evaluated at every generation (panmictic) or
-/// epoch (islands) boundary. Conditions are checked in [`StopReason`]
+/// The single stop check, evaluated at every epoch boundary (every
+/// generation for a panmictic run). Conditions are checked in [`StopReason`]
 /// declaration order, so the deterministic reasons always win over the
 /// wall-clock ones when both hold at the same boundary.
 fn stop_reason_at(
@@ -1123,22 +987,21 @@ where
     }
 }
 
-/// Snapshot of a population's post-selection statistics (wall-clock and
-/// cache fields left at their defaults; callers fill them in).
-fn population_stats<G>(
-    population: &[Individual<G>],
-    generation: u64,
-    evaluations: u64,
-) -> GenerationStats {
-    let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
-    let mean = population.iter().map(|i| i.fitness).sum::<f64>() / population.len() as f64;
-    GenerationStats {
-        generation,
-        best_fitness: best,
-        mean_fitness: mean,
-        evaluations,
-        elapsed: Duration::ZERO,
-        cache: None,
+impl<G> IslandState<G> {
+    /// Logs the island's post-selection statistics for `generation` into
+    /// its epoch log (the cache column is left to the merged view).
+    fn log_generation(&mut self, generation: u64, start: Instant) {
+        let population = &self.population;
+        let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
+        let mean = population.iter().map(|i| i.fitness).sum::<f64>() / population.len() as f64;
+        self.epoch_log.push(GenerationStats {
+            generation,
+            best_fitness: best,
+            mean_fitness: mean,
+            evaluations: self.evaluations,
+            elapsed: start.elapsed(),
+            cache: None,
+        });
     }
 }
 
@@ -1299,9 +1162,12 @@ fn migrate<G: Copy>(
     migrants: usize,
     ranking: Ranking,
 ) {
+    if migrants == 0 {
+        return;
+    }
     let ring: Vec<usize> = (0..islands.len()).filter(|&i| !quarantined[i]).collect();
     let count = ring.len();
-    if count < 2 || migrants == 0 {
+    if count < 2 {
         return;
     }
     let s = islands[ring[0]].population.len();
@@ -1386,26 +1252,16 @@ where
     failures
 }
 
-fn sort_by_fitness<G>(population: &mut [Individual<G>]) {
-    // Descending fitness; NaN sorts last. Stable sort keeps elders ahead of
-    // equally fit children, making runs reproducible.
-    population.sort_by(|a, b| {
-        b.fitness
-            .partial_cmp(&a.fitness)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-}
-
-/// Ranks a population for truncation selection. The scalar arm is the
-/// pre-multi-objective sort, untouched, so scalar runs stay byte-identical;
-/// the lexicographic arm orders ascending by objective vector (stable, so
-/// elders stay ahead of equally ranked children here too).
+/// Ranks a population for truncation selection: descending fitness (the
+/// scalar arm, where a NaN compares equal to everything) or ascending
+/// objective vector (the lexicographic arm). Both sorts are stable, so
+/// elders stay ahead of equally ranked children, making runs reproducible.
 fn sort_population<G>(population: &mut [Individual<G>], ranking: Ranking) {
     match ranking {
-        Ranking::Fitness => sort_by_fitness(population),
-        Ranking::Lexicographic => {
-            population.sort_by(|a, b| a.objectives.lex_cmp(&b.objectives));
+        Ranking::Fitness => {
+            population.sort_by(|a, b| b.fitness.partial_cmp(&a.fitness).unwrap_or(Ordering::Equal))
         }
+        Ranking::Lexicographic => population.sort_by(|a, b| a.objectives.lex_cmp(&b.objectives)),
     }
 }
 

@@ -38,8 +38,11 @@ use crate::objective::Objectives;
 /// determinism contract on every push.
 pub const THREADS_ENV: &str = "EVOTC_TEST_THREADS";
 
-/// Cap on the automatically resolved thread count; fitness batches are a
-/// couple dozen genomes, so wider pools only add spawn overhead.
+/// Cap on the automatically resolved thread count. A panmictic batch is
+/// the `C` children of one generation (the paper's default is `C = 5`) and
+/// the engine never splits it wider than one genome per worker; an island
+/// run uses at most one worker per island. Wider pools only add spawn
+/// overhead.
 const MAX_AUTO_THREADS: usize = 8;
 
 /// Resolves a configured thread count to a concrete one.

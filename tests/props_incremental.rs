@@ -5,9 +5,10 @@
 //! [`EvalCache`], must produce the **bit-identical** encoded size / fitness
 //! that `encoded_size_scratch` computes from scratch at every step —
 //! including edits that flip feasibility (covering becomes/ceases to be
-//! possible) and edits that create or remove duplicate MVs. The shared
-//! read-only probe ([`encoded_size_probe`]) and the concurrent shared-cache
-//! path of `MvFitness` are pinned to the same oracle.
+//! possible) and edits that create or remove duplicate MVs. The ungated
+//! read-only price (`encoded_size_incremental` with `commit = false`), the
+//! cost-gated shared probe ([`encoded_size_probe`]) and the concurrent
+//! shared-cache path of `MvFitness` are pinned to the same oracle.
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
@@ -16,6 +17,7 @@ use evotc::core::{
 };
 use evotc::evo::{parallel, FitnessEval, Lineage};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn arb_trits(len: usize) -> impl Strategy<Value = Vec<Trit>> {
     proptest::collection::vec((0u8..3).prop_map(Trit::from_index), len..=len)
@@ -45,6 +47,26 @@ fn histogram_for(rows: &[Vec<Trit>], k: usize) -> (BlockHistogram, f64) {
     let hist = BlockHistogram::from_string(&string);
     let bits = string.payload_bits() as f64;
     (hist, bits)
+}
+
+/// The gated probe's contract next to an exact price: it answers the same
+/// `Size`, or `NeedsFull` — never for an edit window inside one `k`-gene
+/// chunk (empty and one-chunk edits are not gated).
+fn check_gated(
+    probe: IncrementalOutcome,
+    exact: IncrementalOutcome,
+    edit: &Range<usize>,
+    k: usize,
+) {
+    if probe == IncrementalOutcome::NeedsFull {
+        assert!(
+            !edit.is_empty() && edit.start / k != (edit.end - 1) / k,
+            "gated probe declined a one-chunk edit {:?}",
+            edit
+        );
+    } else {
+        assert_eq!(probe, exact, "gated probe {:?}", edit);
+    }
 }
 
 /// Runs one chain through the committing incremental path and checks every
@@ -213,7 +235,8 @@ proptest! {
 
     /// Multi-chunk inversion chains: windows straddling chunk boundaries,
     /// committed step by step, must price bit-identically to the full
-    /// kernel — and the read-only shared probe must agree at every step.
+    /// kernel — the ungated read-only price must agree at every step, and
+    /// the gated shared probe must agree or decline.
     #[test]
     fn inversion_chains_straddling_chunks_match_full_kernel(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -235,10 +258,14 @@ proptest! {
                     genome[lo..hi].reverse();
                     let edit = lo..hi;
                     let expect = encoded_size_scratch(&sliced, &genome, force, &mut scratch);
-                    let probe = encoded_size_probe(
-                        &sliced, &genome, force, &edit, &cache, &mut probe_scratch,
+                    let probe = encoded_size_incremental(
+                        &sliced, &genome, force, &edit, false, &mut cache,
                     );
                     prop_assert_eq!(probe, IncrementalOutcome::Size(expect), "probe {:?}", &edit);
+                    let gated = encoded_size_probe(
+                        &sliced, &genome, force, &edit, &cache, &mut probe_scratch,
+                    );
+                    check_gated(gated, probe, &edit, k);
                     let commit = encoded_size_incremental(
                         &sliced, &genome, force, &edit, true, &mut cache,
                     );
@@ -251,8 +278,9 @@ proptest! {
     /// Crossover children priced via the parent-diff path: against the
     /// outside parent through the swapped window, and against the
     /// window-content donor through a whole-genome diff — both must match
-    /// the full kernel, and `MvFitness`'s lineage batch (which picks
-    /// whichever parent is cached) must match the plain batch.
+    /// the full kernel (the gated probe may decline instead), and
+    /// `MvFitness`'s lineage batch (which picks whichever parent is cached)
+    /// must match the plain batch.
     #[test]
     fn crossover_children_priced_by_parent_diff_match_plain_batch(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -277,16 +305,23 @@ proptest! {
             child[lo..hi].copy_from_slice(&parent_b[lo..hi]);
             let expect = encoded_size_scratch(&sliced, &child, true, &mut scratch);
             // Outside parent: the swapped window is the edit.
-            let via_a = encoded_size_probe(
-                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch,
+            let via_a = encoded_size_incremental(
+                &sliced, &child, true, &(lo..hi), false, &mut cache_a,
             );
             prop_assert_eq!(via_a, IncrementalOutcome::Size(expect), "via parent A {}..{}", lo, hi);
+            let gated_a = encoded_size_probe(
+                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch,
+            );
+            check_gated(gated_a, via_a, &(lo..hi), 6);
             // Donor parent: the edit is conservatively the whole genome;
             // the probe diffs it chunk-wise.
-            let via_b = encoded_size_probe(
-                &sliced, &child, true, &(0..child.len()), &cache_b, &mut probe_scratch,
-            );
+            let whole = 0..child.len();
+            let via_b = encoded_size_incremental(&sliced, &child, true, &whole, false, &mut cache_b);
             prop_assert_eq!(via_b, IncrementalOutcome::Size(expect), "via parent B {}..{}", lo, hi);
+            let gated_b = encoded_size_probe(
+                &sliced, &child, true, &whole, &cache_b, &mut probe_scratch,
+            );
+            check_gated(gated_b, via_b, &whole, 6);
             lineage.push(Some(Lineage::crossover(0, lo..hi, 1)));
             genomes.push(child);
         }

@@ -8,8 +8,8 @@
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
-    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, CombineMode, EvalCache,
-    EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
+    encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
+    CombineMode, EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
 };
 use evotc::evo::{EaBuilder, EaConfig, EaResult, Objectives, ParetoArchive};
 use proptest::prelude::*;
@@ -101,8 +101,10 @@ proptest! {
 
     /// Satellite 1a: the incrementally re-priced transition count (and
     /// used-MV count) equals the full kernel's recompute for every
-    /// mutation, inversion and crossover edit window — via the read-only
-    /// probe against a parent cache and via the committing chain.
+    /// mutation, inversion and crossover edit window — via the ungated
+    /// read-only price against a parent cache (its side-channels observed
+    /// by committing a copy of that cache), via the gated shared probe
+    /// whenever it answers, and via the committing chain.
     #[test]
     fn incremental_transition_repricing_matches_full_recompute(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -122,14 +124,34 @@ proptest! {
                 let (child, window) = apply_edit(&parent, &donor, edit);
                 let (size, transitions, used) =
                     full_objectives(&sliced, &child, force, &mut scratch);
-                let probe = encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch);
+                let probe =
+                    encoded_size_incremental(&sliced, &child, force, &window, false, &mut cache);
                 prop_assert_eq!(probe, IncrementalOutcome::Size(size), "{:?}", edit);
+                let mut adopted = cache.clone();
+                let committed =
+                    encoded_size_incremental(&sliced, &child, force, &window, true, &mut adopted);
+                prop_assert_eq!(committed, IncrementalOutcome::Size(size), "{:?}", edit);
                 if size.is_some() {
                     prop_assert_eq!(
-                        patch.last_scan_transitions(), transitions,
+                        adopted.scan_transitions(), transitions,
                         "transitions after {:?}", edit
                     );
-                    prop_assert_eq!(patch.last_used_mvs(), used, "used MVs after {:?}", edit);
+                    prop_assert_eq!(adopted.used_mvs(), used, "used MVs after {:?}", edit);
+                }
+                // The gated probe answers the same — never `NeedsFull` for
+                // a window inside one chunk — with the same side-channels.
+                let gated = encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch);
+                if gated == IncrementalOutcome::NeedsFull {
+                    prop_assert!(
+                        !window.is_empty() && window.start / 6 != (window.end - 1) / 6,
+                        "gated a one-chunk edit {:?}", edit
+                    );
+                } else {
+                    prop_assert_eq!(gated, IncrementalOutcome::Size(size), "{:?}", edit);
+                    if size.is_some() {
+                        prop_assert_eq!(patch.last_scan_transitions(), transitions);
+                        prop_assert_eq!(patch.last_used_mvs(), used);
+                    }
                 }
             }
             // Committing chain: each edit advances the cache, whose
