@@ -15,15 +15,16 @@
 //! its steady state: single-gene mutation chains (one changed MV chunk per
 //! child), and multi-chunk child streams priced read-only, without the
 //! probe's cost gate, against one cached *evolved* parent — the patch path
-//! the engine's shared parent cache runs for a generation's children. The multi-chunk stream mixes crossover
-//! and inversion children 3:1 (the paper's 0.30/0.10 operator
-//! probabilities) with edit windows spanning 2–5 MV chunks; crossover
-//! partners are drawn from a converged population (the evolved individual a
-//! few point mutations apart), which is what selection actually breeds from
-//! after the first generations. Pure-crossover and pure-inversion streams
-//! are measured separately as well — inversion children genuinely rewrite
-//! every chunk their window touches, so they bound the patch path's worst
-//! case, while crossover children against converged parents bound its best.
+//! the engine's shared parent cache runs for a generation's children. The
+//! multi-chunk stream mixes crossover and inversion children 3:1 (the
+//! paper's 0.30/0.10 operator probabilities) with edit windows spanning 2–5
+//! MV chunks; crossover partners are drawn from a converged population (the
+//! evolved individual a few point mutations apart), which is what selection
+//! actually breeds from after the first generations. Pure-crossover and
+//! pure-inversion streams are measured separately as well — inversion
+//! children genuinely rewrite every chunk their window touches, so they
+//! bound the patch path's worst case, while crossover children against
+//! converged parents bound its best.
 //!
 //! Runs in a few seconds ("quick mode"). In CI the correctness gate runs
 //! gating (`--check-only`) and the timed run is a separate non-gating step:

@@ -35,8 +35,8 @@
 //! its *position* in covering order — is still a patch: the key comparison
 //! re-ranks the moved MV without renumbering anything.
 //!
-//! Three public entry points share one preamble (shape gate, lineage
-//! check, changed-chunk detection):
+//! The public pricing API is three functions; the two that price an edit
+//! share one preamble (shape gate, lineage check, changed-chunk detection):
 //!
 //! * [`encoded_size_rebuild`] fully evaluates a genome into a cache;
 //! * [`encoded_size_incremental`] prices an edit of the cached genome,
