@@ -1,7 +1,7 @@
 //! Automatic test pattern generation with don't-care extraction.
 //!
 //! The paper's experiments run on *uncompacted test sets with don't-cares*:
-//! stuck-at sets in the style of Kajihara/Miyase (reference [30]) and robust
+//! stuck-at sets in the style of Kajihara/Miyase (reference \[30\]) and robust
 //! path-delay sets in the style of TIP (references [31, 32]). This crate
 //! rebuilds that flow:
 //!

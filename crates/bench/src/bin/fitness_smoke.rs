@@ -1,30 +1,32 @@
 //! Quick fitness-kernel perf smoke: measures evaluations/second of the
 //! legacy fitness path, the allocation-free bit-sliced kernel, and the
-//! incremental (cache-patching) path under mutation-chain, inversion-chain
-//! and crossover workloads — all at the paper-default shape (K=12, L=64,
-//! shared `fitness_fixture` workload) — plus the whole-run `evals/sec` of a
-//! real EA and the multi-objective vector path
-//! (`multiobjective_evals_per_sec`), and writes `BENCH_fitness.json` so the
-//! repo carries a perf trajectory across PRs. The correctness gates cover
-//! the objective vector too: kernel side-channel objectives vs the
-//! covering oracle on every genome, and the incrementally patched
-//! transition count vs the full recompute on every chain step and
-//! multi-chunk child.
+//! incremental path the EA runs — children priced read-only against one
+//! cached parent — under single-gene, crossover and inversion child
+//! streams, all at the paper-default shape (K=12, L=64, shared
+//! `fitness_fixture` workload), plus the whole-run `evals/sec` of a real EA
+//! and the multi-objective vector path (`multiobjective_evals_per_sec`),
+//! and writes `BENCH_fitness.json` (with the host it ran on) so the repo
+//! carries a perf trajectory across PRs. The correctness gates cover the
+//! objective vector too: kernel side-channel objectives vs the covering
+//! oracle on every genome, and the incrementally priced transition and
+//! used-MV counts vs the full recompute on every child.
 //!
-//! The incremental workloads cover the operator mix of the paper's EA in
-//! its steady state: single-gene mutation chains (one changed MV chunk per
-//! child), and multi-chunk child streams priced read-only, without the
-//! probe's cost gate, against one cached *evolved* parent — the patch path
-//! the engine's shared parent cache runs for a generation's children. The
-//! multi-chunk stream mixes crossover and inversion children 3:1 (the
+//! Every child stream prices the children of one cached *evolved* parent
+//! (a short deterministic EA run on the workload), which is what the
+//! engine's shared parent cache does for a generation in its steady state.
+//! The single-gene stream redraws one gene per child (one changed MV chunk)
+//! and goes through the cost-gated `encoded_size_probe`, exactly as
+//! `MvFitness` does. The multi-chunk streams are priced without the cost
+//! gate (`encoded_size_incremental`), so every child reaches the patch
+//! path: the mixed stream has crossover and inversion children 3:1 (the
 //! paper's 0.30/0.10 operator probabilities) with edit windows spanning 2–5
-//! MV chunks; crossover partners are drawn from a converged population (the
-//! evolved individual a few point mutations apart), which is what selection
-//! actually breeds from after the first generations. Pure-crossover and
-//! pure-inversion streams are measured separately as well — inversion
-//! children genuinely rewrite every chunk their window touches, so they
-//! bound the patch path's worst case, while crossover children against
-//! converged parents bound its best.
+//! MV chunks, crossover partners drawn from a converged population (the
+//! evolved individual a few point mutations apart), which is what
+//! selection actually breeds from after the first generations.
+//! Pure-crossover and pure-inversion streams are measured separately as
+//! well — inversion children genuinely rewrite every chunk their window
+//! touches, so they bound the patch path's worst case, while crossover
+//! children against converged parents bound its best.
 //!
 //! Runs in a few seconds ("quick mode"). In CI the correctness gate runs
 //! gating (`--check-only`) and the timed run is a separate non-gating step:
@@ -35,43 +37,48 @@
 //! cargo run --release -p evotc_bench --bin fitness_smoke
 //! ```
 //!
-//! Exits non-zero only if the paths disagree on any genome or chain step (a
+//! Exits non-zero only if the paths disagree on any genome or child (a
 //! correctness failure, not a perf one).
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use evotc_bench::fitness_fixture::{paper_histogram, random_genomes, BLOCK_LEN, NUM_MVS};
+use evotc_bench::host_json_fields;
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_core::{
     encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
     EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
-use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval};
+use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval, Lineage, Objectives};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GENOMES: usize = 128;
-/// Steps per chain workload (mutation, inversion, crossover alike).
-const CHAIN_LEN: usize = 256;
+/// Children per stream workload (single-gene, crossover, inversion alike).
+const STREAM_LEN: usize = 256;
 /// Wall-clock budget per measured path; quick mode stays CI-friendly.
 const MEASURE: Duration = Duration::from_millis(1500);
 /// The fixture's genome length.
 const GENOME_LEN: usize = BLOCK_LEN * NUM_MVS;
 
-/// A deterministic single-gene mutation chain: the genomes the EA would see
-/// when each child is its predecessor with one redrawn gene.
-fn mutation_chain(start: &[Trit], steps: usize, seed: u64) -> Vec<(usize, Vec<Trit>)> {
+/// A deterministic stream of single-gene children of one fixed parent —
+/// each the parent with one redrawn gene, paired with its edit window.
+fn single_gene_children(
+    parent: &[Trit],
+    steps: usize,
+    seed: u64,
+) -> Vec<(Range<usize>, Vec<Trit>)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut genome = start.to_vec();
-    let mut chain = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let pos = rng.gen_range(0..genome.len());
-        genome[pos] = Trit::from_index(rng.gen_range(0..3u8));
-        chain.push((pos, genome.clone()));
-    }
-    chain
+    (0..steps)
+        .map(|_| {
+            let pos = rng.gen_range(0..parent.len());
+            let mut child = parent.to_vec();
+            child[pos] = Trit::from_index(rng.gen_range(0..3u8));
+            (pos..pos + 1, child)
+        })
+        .collect()
 }
 
 /// A random edit window spanning 2..=5 MV chunks (length `K+1 ..= 4K`
@@ -201,35 +208,50 @@ fn main() {
         }
     }
 
-    // Correctness gate 2: the incremental path must match the full kernel
-    // bit-for-bit on every step of a single-gene mutation chain.
-    let chain = mutation_chain(&genomes[0], CHAIN_LEN, 7);
-    let mut cache = EvalCache::new();
-    let seed_fitness = fitness.evaluate_cached(&genomes[0], None, &mut cache);
-    if seed_fitness.to_bits()
-        != fitness
-            .evaluate_scratch(&genomes[0], &mut scratch)
-            .to_bits()
-    {
-        fail("incremental rebuild diverged on the chain seed");
-    }
-    for (step, (pos, genome)) in chain.iter().enumerate() {
-        let incremental = fitness.evaluate_cached(genome, Some(&(*pos..pos + 1)), &mut cache);
-        let full = fitness.evaluate_scratch(genome, &mut scratch);
-        if incremental.to_bits() != full.to_bits() {
+    // The steady-state fixture every child stream prices against: the
+    // evolved parent, cached once, and its converged partners.
+    let (evolved, partners) = evolved_parent_and_partners(&histogram, payload_bits);
+    let mut parent_cache = EvalCache::new();
+    encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache);
+    let mut patch = PatchScratch::new();
+
+    // Correctness gate 2: single-gene children of the cached evolved parent,
+    // priced the way the EA prices them — through the gated probe, which
+    // never declines a one-chunk edit, and through `MvFitness`'s batch call
+    // with lineage — must match the full kernel bit-for-bit, transition and
+    // used-MV counts included.
+    let single = single_gene_children(&evolved, STREAM_LEN, 7);
+    for (step, (window, child)) in single.iter().enumerate() {
+        let full = encoded_size_scratch(&sliced, child, true, &mut scratch);
+        let objectives = (scratch.last_scan_transitions(), scratch.last_used_mvs());
+        let probe = encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch);
+        if probe != IncrementalOutcome::Size(full) {
             fail(&format!(
-                "incremental {incremental} != full {full} at mutation-chain step {step}"
+                "single-gene probe {probe:?} != full {full:?} at child {step} (window {window:?})"
             ));
         }
-        // The incrementally patched transition objective must equal the
-        // full recompute exactly, at every step of the chain.
-        if full != MvFitness::INFEASIBLE
-            && cache.scan_transitions() != scratch.last_scan_transitions()
-        {
+        if full.is_some() && (patch.last_scan_transitions(), patch.last_used_mvs()) != objectives {
             fail(&format!(
-                "incremental transitions {} != full {} at mutation-chain step {step}",
-                cache.scan_transitions(),
-                scratch.last_scan_transitions()
+                "single-gene probe objectives (t={}, used={}) != full {objectives:?} at child {step}",
+                patch.last_scan_transitions(),
+                patch.last_used_mvs(),
+            ));
+        }
+    }
+    let (lineage, children): (Vec<_>, Vec<_>) = single
+        .iter()
+        .map(|(window, child)| (Some(Lineage::new(0, window.clone())), child.clone()))
+        .unzip();
+    let mut scores = vec![f64::NAN; children.len()];
+    let mut vectors = vec![Objectives::NAN; children.len()];
+    fitness.evaluate_batch(&children, &lineage, &[&evolved], &mut scores, &mut vectors);
+    for (step, (child, (&score, &vector))) in
+        children.iter().zip(scores.iter().zip(&vectors)).enumerate()
+    {
+        let (full, full_vector) = fitness.evaluate_with_objectives(child, &mut scratch);
+        if score.to_bits() != full.to_bits() || vector != full_vector {
+            fail(&format!(
+                "lineage batch ({score}, {vector:?}) != full ({full}, {full_vector:?}) at child {step}"
             ));
         }
     }
@@ -237,23 +259,19 @@ fn main() {
     // Correctness gate 3: the multi-chunk patch path must match the full
     // kernel bit-for-bit on every child of the steady-state streams —
     // mixed crossover/inversion, pure crossover, and pure inversion —
-    // priced read-only and ungated against the cached evolved parent (its
-    // objectives observed by committing a copy of the parent cache). The
-    // gated shared probe, which is how the engine's shared parent cache
-    // prices a generation, must answer the same or decline the patch.
-    let (evolved, partners) = evolved_parent_and_partners(&histogram, payload_bits);
+    // priced without the cost gate against the cached evolved parent, with
+    // the side-channel objectives read from the scratch. The gated probe,
+    // which is how the engine's shared parent cache prices a generation,
+    // must answer the same or decline the patch.
     let mixed_ops = [
         MultiOp::Crossover,
         MultiOp::Crossover,
         MultiOp::Crossover,
         MultiOp::Inversion,
     ];
-    let mixed = multichunk_children(&evolved, &partners, &mixed_ops, CHAIN_LEN, 11);
-    let crossover = multichunk_children(&evolved, &partners, &[MultiOp::Crossover], CHAIN_LEN, 13);
-    let inversion = multichunk_children(&evolved, &partners, &[MultiOp::Inversion], CHAIN_LEN, 17);
-    let mut parent_cache = EvalCache::new();
-    encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache);
-    let mut patch = PatchScratch::new();
+    let mixed = multichunk_children(&evolved, &partners, &mixed_ops, STREAM_LEN, 11);
+    let crossover = multichunk_children(&evolved, &partners, &[MultiOp::Crossover], STREAM_LEN, 13);
+    let inversion = multichunk_children(&evolved, &partners, &[MultiOp::Inversion], STREAM_LEN, 17);
     for (name, stream) in [
         ("mixed", &mixed),
         ("crossover", &crossover),
@@ -262,27 +280,21 @@ fn main() {
         for (step, (window, child)) in stream.iter().enumerate() {
             let full = encoded_size_scratch(&sliced, child, true, &mut scratch);
             let objectives = (scratch.last_scan_transitions(), scratch.last_used_mvs());
-            let probe =
-                encoded_size_incremental(&sliced, child, true, window, false, &mut parent_cache);
-            if probe != IncrementalOutcome::Size(full) {
+            let ungated =
+                encoded_size_incremental(&sliced, child, true, window, &parent_cache, &mut patch);
+            if ungated != IncrementalOutcome::Size(full) {
                 fail(&format!(
-                    "{name} probe {probe:?} != full {full:?} at child {step} (window {window:?})"
+                    "{name} price {ungated:?} != full {full:?} at child {step} (window {window:?})"
                 ));
             }
-            let mut adopted = parent_cache.clone();
-            let committed =
-                encoded_size_incremental(&sliced, child, true, window, true, &mut adopted);
-            if committed != probe {
-                fail(&format!(
-                    "{name} commit {committed:?} != probe {probe:?} at child {step}"
-                ));
-            }
-            if full.is_some() && (adopted.scan_transitions(), adopted.used_mvs()) != objectives {
+            if full.is_some()
+                && (patch.last_scan_transitions(), patch.last_used_mvs()) != objectives
+            {
                 fail(&format!(
                     "{name} patched objectives (t={}, used={}) != full {objectives:?} \
                      at child {step}",
-                    adopted.scan_transitions(),
-                    adopted.used_mvs(),
+                    patch.last_scan_transitions(),
+                    patch.last_used_mvs(),
                 ));
             }
             // The gated probe: the same answer with the same objectives, or
@@ -293,7 +305,7 @@ fn main() {
                     "{name} gated probe declined a one-chunk edit at child {step}"
                 )),
                 IncrementalOutcome::NeedsFull => {}
-                gated if gated != probe => fail(&format!(
+                gated if gated != ungated => fail(&format!(
                     "{name} gated probe {gated:?} != full {full:?} at child {step}"
                 )),
                 _ if full.is_some()
@@ -396,8 +408,8 @@ fn main() {
     if check_only {
         println!(
             "fitness kernel == legacy on {GENOMES} genomes (objective vectors \
-             included); incremental == full on a {CHAIN_LEN}-step mutation chain \
-             and on {CHAIN_LEN}-child multi-chunk crossover/inversion streams, \
+             included); incremental == full on {STREAM_LEN}-child single-gene \
+             (gated probe and lineage batch) and multi-chunk crossover/inversion streams, \
              transition objective included; island runs thread-invariant and \
              checkpoint/resume-exact through the byte codec \
              (K={BLOCK_LEN}, L={NUM_MVS})"
@@ -430,34 +442,14 @@ fn main() {
     });
     let multiobjective_overhead = kernel_eps / multiobjective_eps;
 
-    // The mutation workload: one full evaluation to seed the cache, then
-    // CHAIN_LEN single-gene children priced from deltas. The full-kernel
-    // reference prices exactly the same genomes from scratch.
-    let per_pass = (CHAIN_LEN + 1) as u64;
-    let mut scratch = EvalScratch::new();
-    let full_chain_eps = throughput(per_pass, || {
-        let mut acc = fitness.evaluate_scratch(&genomes[0], &mut scratch);
-        for (_, genome) in &chain {
-            acc += fitness.evaluate_scratch(genome, &mut scratch);
-        }
-        acc
-    });
-    let mut cache = EvalCache::new();
-    let incremental_eps = throughput(per_pass, || {
-        let mut acc = fitness.evaluate_cached(&genomes[0], None, &mut cache);
-        for (pos, genome) in &chain {
-            acc += fitness.evaluate_cached(genome, Some(&(*pos..pos + 1)), &mut cache);
-        }
-        acc
-    });
-    let incremental_speedup = incremental_eps / full_chain_eps;
-
-    // The multi-chunk streams: one parent rebuild, then CHAIN_LEN children
-    // priced read-only and ungated off the cached parent — the patch path
-    // of the shared-cache steady state, without the cost gate's fallbacks.
-    // The full-kernel reference prices exactly the same children from
-    // scratch.
-    let measure_stream = |stream: &[(Range<usize>, Vec<Trit>)]| {
+    // The child streams: one parent rebuild, then STREAM_LEN children priced
+    // read-only off the cached parent. The single-gene stream goes through
+    // the gated probe the EA runs; the multi-chunk streams through the
+    // ungated price, so every child takes the patch path (the cost gate's
+    // fallbacks would only measure the kernel). The full-kernel reference
+    // prices exactly the same genomes from scratch.
+    let per_pass = (STREAM_LEN + 1) as u64;
+    let measure_stream = |stream: &[(Range<usize>, Vec<Trit>)], gated: bool| {
         let mut scratch = EvalScratch::new();
         let full_eps = throughput(per_pass, || {
             let mut acc = encoded_size_scratch(&sliced, &evolved, true, &mut scratch)
@@ -469,13 +461,24 @@ fn main() {
             acc
         });
         let mut parent_cache = EvalCache::new();
+        let mut patch = PatchScratch::new();
         let inc_eps = throughput(per_pass, || {
             let mut acc = encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache)
                 .unwrap_or_default() as f64;
             for (window, child) in stream {
-                if let IncrementalOutcome::Size(size) =
-                    encoded_size_incremental(&sliced, child, true, window, false, &mut parent_cache)
-                {
+                let price = if gated {
+                    encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch)
+                } else {
+                    encoded_size_incremental(
+                        &sliced,
+                        child,
+                        true,
+                        window,
+                        &parent_cache,
+                        &mut patch,
+                    )
+                };
+                if let IncrementalOutcome::Size(size) = price {
                     acc += size.unwrap_or_default() as f64;
                 }
             }
@@ -483,24 +486,31 @@ fn main() {
         });
         (full_eps, inc_eps, inc_eps / full_eps)
     };
-    let (mixed_full_eps, mixed_inc_eps, multichunk_speedup) = measure_stream(&mixed);
-    let (cross_full_eps, cross_inc_eps, crossover_speedup) = measure_stream(&crossover);
-    let (inv_full_eps, inv_inc_eps, inversion_speedup) = measure_stream(&inversion);
+    let (single_full_eps, single_probe_eps, single_probe_speedup) = measure_stream(&single, true);
+    let (mixed_full_eps, mixed_inc_eps, multichunk_speedup) = measure_stream(&mixed, false);
+    let (cross_full_eps, cross_inc_eps, crossover_speedup) = measure_stream(&crossover, false);
+    let (inv_full_eps, inv_inc_eps, inversion_speedup) = measure_stream(&inversion, false);
 
     // Whole-run throughput: a real EA over the same histogram, full
     // operator mix, incremental path and shared parent cache on — against
-    // the identical run with the lineage hook disabled (plain batch, full
-    // kernel for every child). This is the number the chain microbenches
-    // exist to move.
+    // the identical run with the lineage dropped (full kernel for every
+    // child). This is the number the stream microbenches exist to move.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
         fn evaluate(&self, genes: &[Trit]) -> f64 {
             self.0.evaluate(genes)
         }
-        fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
-            self.0.evaluate_batch(genomes, out);
+        fn evaluate_batch(
+            &self,
+            genomes: &[Vec<Trit>],
+            _: &[Option<Lineage>],
+            _: &[&[Trit]],
+            out: &mut [f64],
+            objectives: &mut [Objectives],
+        ) {
+            let none = vec![None; genomes.len()];
+            self.0.evaluate_batch(genomes, &none, &[], out, objectives);
         }
-        // No lineage override: children take the full kernel.
     }
     let ea_config = EaConfig::builder()
         .population_size(10)
@@ -617,10 +627,10 @@ fn main() {
     println!("speedup                : {speedup:.2}x");
     println!("multiobjective eval/s  : {multiobjective_eps:.0}");
     println!("multiobjective ovhd    : {multiobjective_overhead:.2}x");
-    println!("chain length           : {CHAIN_LEN}");
-    println!("full-chain eval/s      : {full_chain_eps:.0}");
-    println!("incremental eval/s     : {incremental_eps:.0}");
-    println!("incremental speedup    : {incremental_speedup:.2}x");
+    println!("stream length          : {STREAM_LEN}");
+    println!("single-gene full eval/s: {single_full_eps:.0}");
+    println!("single-gene probe ev/s : {single_probe_eps:.0}");
+    println!("single-gene speedup    : {single_probe_speedup:.2}x");
     println!("multichunk full eval/s : {mixed_full_eps:.0}");
     println!("multichunk eval/s      : {mixed_inc_eps:.0}");
     println!("multichunk speedup     : {multichunk_speedup:.2}x");
@@ -641,27 +651,18 @@ fn main() {
     println!("checkpoint resume      : {checkpoint_resume_us:.1} us");
     println!("checkpoint overhead    : {checkpoint_overhead_pct:.2}% (every 10 generations)");
 
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
     let json = format!(
-        "{{\n  \"bench\": \"fitness_kernel\",\n  \"nproc\": {nproc},\n  \"cpu\": {cpu:?},\n  \
+        "{{\n  \"bench\": \"fitness_kernel\",\n  {host},\n  \
          \"workload\": \"s953\",\n  \"k\": {k},\n  \
          \"l\": {l},\n  \"distinct_blocks\": {distinct},\n  \"genomes\": {genomes},\n  \
          \"legacy_evals_per_sec\": {legacy:.0},\n  \"kernel_evals_per_sec\": {kernel:.0},\n  \
          \"speedup\": {speedup:.2},\n  \
          \"multiobjective_evals_per_sec\": {multiobjective:.0},\n  \
          \"multiobjective_overhead\": {multiobjective_overhead:.2},\n  \
-         \"chain_len\": {chain_len},\n  \
-         \"full_chain_evals_per_sec\": {full_chain:.0},\n  \
-         \"incremental_evals_per_sec\": {incremental:.0},\n  \
-         \"incremental_speedup\": {inc_speedup:.2},\n  \
+         \"stream_len\": {stream_len},\n  \
+         \"single_gene_full_evals_per_sec\": {single_full:.0},\n  \
+         \"single_gene_probe_evals_per_sec\": {single_probe:.0},\n  \
+         \"single_gene_probe_speedup\": {single_speedup:.2},\n  \
          \"multichunk_full_evals_per_sec\": {mixed_full:.0},\n  \
          \"multichunk_evals_per_sec\": {mixed_inc:.0},\n  \
          \"multichunk_speedup\": {mixed_speedup:.2},\n  \
@@ -683,6 +684,7 @@ fn main() {
          \"checkpoint_overhead_pct\": {ckpt_ovhd:.2},\n  \
          \"ea_cache_hits\": {hits},\n  \"ea_cache_misses\": {misses},\n  \
          \"ea_cache_fallbacks\": {fallbacks}\n}}\n",
+        host = host_json_fields(),
         k = BLOCK_LEN,
         l = NUM_MVS,
         distinct = histogram.num_distinct(),
@@ -692,10 +694,10 @@ fn main() {
         speedup = speedup,
         multiobjective = multiobjective_eps,
         multiobjective_overhead = multiobjective_overhead,
-        chain_len = CHAIN_LEN,
-        full_chain = full_chain_eps,
-        incremental = incremental_eps,
-        inc_speedup = incremental_speedup,
+        stream_len = STREAM_LEN,
+        single_full = single_full_eps,
+        single_probe = single_probe_eps,
+        single_speedup = single_probe_speedup,
         mixed_full = mixed_full_eps,
         mixed_inc = mixed_inc_eps,
         mixed_speedup = multichunk_speedup,

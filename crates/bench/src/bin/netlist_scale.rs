@@ -14,7 +14,7 @@
 //! * `bytes_per_gate` — [`Netlist::heap_bytes`] over gate count, the
 //!   peak-RSS proxy for the representation itself.
 //!
-//! Writes `BENCH_netlist.json`. With `--check-only` it gates correctness
+//! Writes `BENCH_netlist.json`, which also records the host it ran on. With `--check-only` it gates correctness
 //! and scale instead of timing everything: the 100k-gate circuit must
 //! build, levelize and bit-parallel-simulate inside a wall-clock budget,
 //! and a 10k-gate circuit must survive `.bench` and Yosys-JSON round trips
@@ -255,8 +255,10 @@ fn main() {
             r.edges,
         ));
     }
-    let json =
-        format!("{{\n  \"bench\": \"netlist_scale\",\n  \"scales\": [\n{scales_json}\n  ]\n}}\n");
+    let json = format!(
+        "{{\n  \"bench\": \"netlist_scale\",\n  {},\n  \"scales\": [\n{scales_json}\n  ]\n}}\n",
+        evotc_bench::host_json_fields()
+    );
     let path = "BENCH_netlist.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),

@@ -20,7 +20,8 @@
 //! Afterwards the zero-lost-jobs identity is enforced: every submission
 //! ended in exactly one of completed / cache-hit / typed-rejected /
 //! permanently-failed. Writes `BENCH_service.json` with throughput,
-//! latency percentiles (p50/p95/p99) and the shed/retry/cache counters.
+//! latency percentiles (p50/p95/p99), the shed/retry/cache counters and
+//! the host it ran on.
 //! With `--check-only` a smaller workload runs the same gates plus a
 //! shape check on the written JSON and a p99-under-budget check; exits
 //! non-zero on any failure.
@@ -334,12 +335,13 @@ fn write_json(n: &ReplayNumbers) -> String {
     let p95 = percentile(&n.latencies, 95.0);
     let p99 = percentile(&n.latencies, 99.0);
     let json = format!(
-        "{{\n  \"bench\": \"service_replay\",\n  \"jobs\": {{\"attempted\": {}, \
+        "{{\n  \"bench\": \"service_replay\",\n  {},\n  \"jobs\": {{\"attempted\": {}, \
          \"completed_fresh\": {}, \"cache_hits\": {}, \"failed\": {}}},\n  \
          \"rejected\": {{\"deadline_infeasible\": {}, \"other\": {}}},\n  \
          \"retries\": {},\n  \"sheds\": {},\n  \"checkpoint_failures\": {},\n  \
          \"latency\": {{\"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}},\n  \
          \"throughput_jobs_per_sec\": {:.1},\n  \"elapsed_sec\": {:.3}\n}}\n",
+        evotc_bench::host_json_fields(),
         n.attempted,
         n.completed_fresh,
         n.cache_hits,
@@ -394,6 +396,8 @@ fn main() {
         // Shape gate on the artifact CI archives.
         for key in [
             "\"bench\": \"service_replay\"",
+            "\"nproc\"",
+            "\"cpu\"",
             "\"p50_us\"",
             "\"p95_us\"",
             "\"p99_us\"",

@@ -289,6 +289,25 @@ pub fn markdown_table(rows: &[MeasuredRow], headers: (&str, &str)) -> String {
     out
 }
 
+/// The host a benchmark ran on, as JSON object members:
+/// `"nproc": N, "cpu": "<model>"` — the available parallelism and the CPU
+/// model name from `/proc/cpuinfo` (`"unknown"` where that file is absent).
+/// Every `BENCH_*.json` writer embeds it, so a committed figure names the
+/// machine that produced it and figures from different hosts are not
+/// compared by mistake.
+pub fn host_json_fields() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|rest| rest.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!("\"nproc\": {nproc}, \"cpu\": {cpu:?}")
+}
+
 /// Shared fixtures for the fitness-kernel measurements, used by both the
 /// `fitness_kernel` criterion bench and the `fitness_smoke` binary so the
 /// two can never drift apart on workload or genome recipe.
@@ -386,6 +405,14 @@ mod tests {
         let md = markdown_table(&rows, ("EA", "EA-Best"));
         assert!(md.contains("| circuit |"));
         assert!(md.contains("**average**"));
+    }
+
+    #[test]
+    fn host_fields_name_the_core_count_and_cpu() {
+        let fields = host_json_fields();
+        assert!(fields.starts_with("\"nproc\": "), "{fields}");
+        assert!(fields.contains(", \"cpu\": \""), "{fields}");
+        assert!(fields.ends_with('"'), "{fields}");
     }
 
     #[test]

@@ -55,6 +55,24 @@ pub struct SlicedHistogram {
     bcare: Vec<u64>,
     /// Value plane of each distinct block (row-major), in histogram order.
     bvalue: Vec<u64>,
+    /// FNV-1a digest of `(K, counts, care planes, value planes)`, computed
+    /// once at construction (see [`SlicedHistogram::content_id`]).
+    content_id: u64,
+}
+
+/// FNV-1a over the words that define a histogram's content.
+fn content_digest(k: usize, counts: &[u64], bcare: &[u64], bvalue: &[u64]) -> u64 {
+    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let words = std::iter::once(k as u64)
+        .chain(counts.iter().copied())
+        .chain(bcare.iter().copied())
+        .chain(bvalue.iter().copied());
+    words.fold(OFFSET, |hash, word| {
+        word.to_le_bytes()
+            .iter()
+            .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
+    })
 }
 
 impl SlicedHistogram {
@@ -88,6 +106,7 @@ impl SlicedHistogram {
             }
             counts.push(count);
         }
+        let content_id = content_digest(k, &counts, &bcare, &bvalue);
         SlicedHistogram {
             k,
             num_distinct: n,
@@ -97,7 +116,19 @@ impl SlicedHistogram {
             counts,
             bcare,
             bvalue,
+            content_id,
         }
+    }
+
+    /// A digest of the histogram's content — block length, and every
+    /// distinct block's planes and multiplicity, in order — computed once at
+    /// construction. Two transpositions of equal dimensions but different
+    /// blocks or counts get different ids (up to 64-bit collisions), which
+    /// is what lets a cache built against one histogram refuse to price
+    /// against another.
+    #[inline]
+    pub fn content_id(&self) -> u64 {
+        self.content_id
     }
 
     /// Block length `K`.
@@ -265,6 +296,19 @@ mod tests {
             assert_eq!(s.block(d), block, "block {d}");
             assert_eq!(s.counts()[d], count, "count {d}");
         }
+    }
+
+    #[test]
+    fn content_id_tracks_content_not_dimensions() {
+        let (_, a) = sliced(&["1111", "0000"], 4);
+        let (_, again) = sliced(&["1111", "0000"], 4);
+        let (_, b) = sliced(&["1010", "0101"], 4);
+        let (_, recounted) = sliced(&["1111", "0000", "0000"], 4);
+        assert_eq!(a.content_id(), again.content_id());
+        assert_eq!(a.content_id(), a.clone().content_id());
+        assert_eq!(a.num_distinct(), b.num_distinct());
+        assert_ne!(a.content_id(), b.content_id(), "different blocks");
+        assert_ne!(a.content_id(), recounted.content_id(), "different counts");
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub fn canonical_codewords(lengths: &[usize]) -> Vec<Codeword> {
 ///
 /// # Panics
 ///
-/// Panics on Kraft violations, as for [`canonical_codewords`].
+/// Panics on Kraft violations, as for `canonical_codewords`.
 pub fn canonical_code(lengths: &[usize]) -> PrefixCode {
     let words = canonical_codewords(lengths);
     // PrefixCode validation rejects empty codewords in multi-symbol codes, so
@@ -250,12 +250,10 @@ fn merge_total(leaves: &[u64], merged: &mut Vec<u64>) -> u64 {
 pub struct HuffmanDeltaState {
     /// Nonzero frequencies, sorted ascending.
     leaves: Vec<u64>,
-    /// Cached `Σ fᵢ·lᵢ` of `leaves` — maintained eagerly by [`reset`] and
-    /// [`adopt_leaves_from`], so an all-no-op delta can be priced without
-    /// re-running the merge.
+    /// Cached `Σ fᵢ·lᵢ` of `leaves` — computed eagerly by [`reset`], so an
+    /// all-no-op delta can be priced without re-running the merge.
     ///
     /// [`reset`]: HuffmanDeltaState::reset
-    /// [`adopt_leaves_from`]: HuffmanDeltaState::adopt_leaves_from
     total: u64,
     /// Merge-weight FIFO (scratch for the two-queue merge).
     merged: Vec<u64>,
@@ -290,18 +288,6 @@ impl HuffmanDeltaState {
     /// so this is free).
     pub fn weighted_length(&self) -> u64 {
         self.total
-    }
-
-    /// Replaces this state's leaf queue with `patched`'s, swapping buffers
-    /// so neither side allocates — how a cached base state adopts the queue
-    /// a committed [`huffman_weighted_length_delta`] evaluation produced in
-    /// its scratch. `total` must be that evaluation's result (the weighted
-    /// length of the adopted queue); it refreshes the cache that keeps
-    /// no-op deltas free. `patched`'s queue is the base's old queue
-    /// afterwards.
-    pub fn adopt_leaves_from(&mut self, patched: &mut HuffmanDeltaState, total: u64) {
-        std::mem::swap(&mut self.leaves, &mut patched.leaves);
-        self.total = total;
     }
 }
 
@@ -353,8 +339,9 @@ pub fn huffman_weighted_length_delta(
         // An all-no-op netted delta (every `old == new`, e.g. a crossover
         // window whose frequency changes cancel out): the patched queue IS
         // the base queue, already priced. Skip the patch machinery and the
-        // merge entirely — the queue is only mirrored into `scratch` so a
-        // later `adopt_leaves_from` still hands the base a valid copy.
+        // merge entirely — the queue is only mirrored into `scratch`, whose
+        // leaves always describe the priced frequencies (callers read the
+        // used-symbol count from them).
         // No-op pairs are never validated against the queue, so phantom
         // `(x, x)` entries cannot panic here regardless of how many there
         // are.
@@ -663,14 +650,16 @@ mod tests {
         let patched: &[u64] = &[6, 0, 2, 2, 7, 1, 1, 4];
         assert_eq!(batched, huffman_weighted_length(patched, &mut full));
         // Pointwise on the same changes (splitting keeps each call under the
-        // threshold) agrees step by step.
+        // threshold) agrees step by step: each step's patched queue is
+        // priced by the delta exactly as a fresh reset over it prices it.
         let mut state = HuffmanDeltaState::new();
         state.reset(&[5, 3, 2, 7, 7, 11, 1]);
         for change in &changes {
             let mut one = HuffmanDeltaState::new();
             let total =
                 huffman_weighted_length_delta(&state, std::slice::from_ref(change), &mut one);
-            state.adopt_leaves_from(&mut one, total);
+            state.reset(one.leaves());
+            assert_eq!(state.weighted_length(), total, "step {change:?}");
         }
         assert_eq!(state.weighted_length(), batched);
         // The base is untouched either way.
@@ -681,8 +670,8 @@ mod tests {
     fn all_noop_delta_early_returns_without_patching() {
         // Regression: an all-zero netted delta (every old == new) must be
         // priced straight from the base's cached total — no patch, no merge
-        // — while still mirroring the queue into the scratch so a commit's
-        // `adopt_leaves_from` stays valid.
+        // — while still mirroring the queue into the scratch, whose leaves
+        // callers read as the priced used-symbol set.
         let mut full = HuffmanScratch::new();
         let mut base = HuffmanDeltaState::new();
         base.reset(&[5, 3, 2, 7]);
@@ -695,10 +684,8 @@ mod tests {
         let total = huffman_weighted_length_delta(&base, &noop, &mut scratch);
         assert_eq!(total, huffman_weighted_length(&[5, 3, 2, 7], &mut full));
         assert_eq!(base.leaves(), &[2, 3, 5, 7]);
-        // The scratch holds an adoptable copy of the (unchanged) queue.
-        let leaves_before = base.leaves().to_vec();
-        base.adopt_leaves_from(&mut scratch, total);
-        assert_eq!(base.leaves(), leaves_before);
+        // The scratch holds a copy of the (unchanged) queue.
+        assert_eq!(scratch.leaves(), base.leaves());
         assert_eq!(base.weighted_length(), total);
         // The empty change list takes the same early return.
         assert_eq!(

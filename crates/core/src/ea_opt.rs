@@ -8,9 +8,7 @@ use evotc_evo::{
 use rand::Rng;
 use std::sync::Arc;
 
-use crate::incremental::{
-    encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, IncrementalOutcome,
-};
+use crate::incremental::{encoded_size_probe, encoded_size_rebuild, IncrementalOutcome};
 use crate::kernel::block_transitions;
 use crate::shared_cache::{content_hash, ParentEntry, SharedParentCache};
 
@@ -270,27 +268,22 @@ impl std::error::Error for WeightError {}
 /// malformed or cannot cover every block score [`MvFitness::INFEASIBLE`],
 /// which ranks strictly below every feasible compression rate.
 ///
-/// Four equivalent evaluation paths exist:
+/// Three equivalent evaluation paths exist:
 ///
 /// * [`MvFitness::evaluate_oracle`] — the legacy reference path (decode an
 ///   [`MvSet`], cover, build a Huffman code); what [`FitnessEval::evaluate`]
 ///   uses. Kept as the oracle the kernel is tested against.
 /// * [`MvFitness::evaluate_scratch`] — the allocation-free, bit-sliced
 ///   kernel (see [`crate::EvalScratch`]); what [`FitnessEval::evaluate_batch`]
-///   uses with one pooled worker state per batch chunk, i.e. per worker
-///   thread, and what the lineage path falls back to.
-/// * [`MvFitness::evaluate_cached`] — the incremental chain path: advances a
-///   caller-owned [`crate::EvalCache`] along a chain of edits through the
-///   ungated [`crate::encoded_size_incremental`], one ownership patch per
-///   changed MV chunk, rebuilding when the edit is not priceable.
-/// * The lineage batch path — what
-///   [`FitnessEval::evaluate_batch_with_lineage`] and
-///   [`FitnessEval::evaluate_batch_with_objectives`] use for engine children
-///   that carry provenance. Parent caches live in one **shared**
-///   [`SharedParentCache`] — content-keyed, so they survive the population
-///   reshuffling between generations — and are probed read-only through
-///   the cost-gated [`crate::encoded_size_probe`], so every worker thread
-///   patches the same cached elite parent without per-thread copies.
+///   uses for genomes without lineage (the initial population), with one
+///   pooled worker state per batch chunk, i.e. per worker thread, and what
+///   the lineage path falls back to.
+/// * The lineage path — what [`FitnessEval::evaluate_batch`] uses for
+///   engine children that carry provenance. Parent caches live in one
+///   **shared** [`SharedParentCache`] — content-keyed, so they survive the
+///   population reshuffling between generations — and are probed read-only
+///   through the cost-gated [`crate::encoded_size_probe`], so every worker
+///   thread patches the same cached elite parent without per-thread copies.
 ///   Crossover children are priced against whichever parent is cached: the
 ///   outside-the-window parent through the recorded edit window, or the
 ///   window-content donor through a whole-genome diff (see
@@ -311,8 +304,8 @@ pub struct MvFitness<'a> {
     original_bits: f64,
     mode: CombineMode,
     /// Warmed-up per-worker states (full-kernel scratch, patch scratch,
-    /// hot-entry slots) returned by previous batch calls. Every batch entry
-    /// point checks one out per call — i.e. per worker thread — and returns
+    /// hot-entry slots) returned by previous batch calls. The batch call
+    /// checks one out per call — i.e. per worker thread — and returns
     /// it afterwards, so buffers persist across generations instead of
     /// being rebuilt every batch. Pure warm-up state, invisible to the
     /// determinism contract: the kernel fully re-initializes what it reads,
@@ -324,11 +317,11 @@ pub struct MvFitness<'a> {
     shared: SharedParentCache,
 }
 
-/// One worker's evaluation state: the full kernel's scratch (plain batches
-/// and fallbacks), the per-thread patch scratch the read-only probes write
-/// into, and a few *hot slots* pinning recently used shared entries so
-/// repeat children of the same (elite) parent skip even the shard's read
-/// lock.
+/// One worker's evaluation state: the full kernel's scratch (genomes
+/// without lineage and fallbacks), the per-thread patch scratch the
+/// read-only probes write into, and a few *hot slots* pinning recently used
+/// shared entries so repeat children of the same (elite) parent skip even
+/// the shard's read lock.
 #[derive(Debug, Default)]
 struct LineageState {
     scratch: crate::EvalScratch,
@@ -466,47 +459,6 @@ impl<'a> MvFitness<'a> {
         )
     }
 
-    /// Scores one genome through the incremental path, advancing `cache` to
-    /// hold it afterwards (chain semantics): with `edit = Some(range)` the
-    /// genome is priced as an edit of the genome `cache` currently holds —
-    /// positions outside the range must be unchanged — falling back to a
-    /// full rebuild when the edit is not incrementally priceable; with
-    /// `edit = None` (unknown provenance) the cache is rebuilt outright.
-    ///
-    /// Bit-identical to [`MvFitness::evaluate`] and
-    /// [`MvFitness::evaluate_scratch`] for every genome and edit chain —
-    /// enforced by `tests/props_incremental.rs`.
-    pub fn evaluate_cached(
-        &self,
-        genes: &[Trit],
-        edit: Option<&std::ops::Range<usize>>,
-        cache: &mut crate::EvalCache,
-    ) -> f64 {
-        self.assert_shape();
-        let size = match edit {
-            Some(range) => {
-                match encoded_size_incremental(
-                    &self.sliced,
-                    genes,
-                    self.force_all_u,
-                    range,
-                    true,
-                    cache,
-                ) {
-                    IncrementalOutcome::Size(size) => size,
-                    IncrementalOutcome::NeedsFull => {
-                        encoded_size_rebuild(&self.sliced, genes, self.force_all_u, cache)
-                    }
-                }
-            }
-            None => encoded_size_rebuild(&self.sliced, genes, self.force_all_u, cache),
-        };
-        match size {
-            Some(s) => self.score(s, cache.scan_transitions(), cache.used_mvs()).0,
-            None => Self::INFEASIBLE,
-        }
-    }
-
     /// Scores one engine child against a cached parent covering. Read-only
     /// probe: the shared parent entry is immutable, so any number of
     /// siblings — across every worker thread — reuse it concurrently.
@@ -521,18 +473,20 @@ impl<'a> MvFitness<'a> {
         &self,
         genes: &[Trit],
         parents: &[&[Trit]],
-        parent_idx: usize,
-        second_idx: Option<usize>,
-        edit: &std::ops::Range<usize>,
+        lineage: &Lineage,
         state: &mut LineageState,
     ) -> (f64, Objectives) {
-        let parent = parents[parent_idx];
+        let (parent_idx, edit) = (lineage.parent_idx, &lineage.edit);
         // A parent the rebuild would reject (or whose length differs from
-        // the child's) cannot seed a cache; score the child standalone.
-        if parent.is_empty() || parent.len() % self.k != 0 || parent.len() != genes.len() {
+        // the child's, or that is missing) cannot seed a cache; score the
+        // child standalone.
+        let Some(parent) = parents
+            .get(parent_idx)
+            .filter(|p| !p.is_empty() && p.len() % self.k == 0 && p.len() == genes.len())
+        else {
             self.shared.record_fallback();
             return self.evaluate_with_objectives(genes, &mut state.scratch);
-        }
+        };
         let primary = self.lookup_memo(parents, parent_idx, state);
         let primary_cached = primary.is_some();
         if let Some(entry) = primary {
@@ -546,7 +500,10 @@ impl<'a> MvFitness<'a> {
         // edit is conservatively the whole genome — the probe diffs it
         // chunk-wise and patches only real differences (which is why it can
         // pass the cost gate even when the primary's window did not).
-        if let Some(donor_idx) = second_idx.filter(|&i| parents[i].len() == genes.len()) {
+        let donor = lineage.second_parent;
+        if let Some(donor_idx) =
+            donor.filter(|&i| parents.get(i).is_some_and(|p| p.len() == genes.len()))
+        {
             if let Some(entry) = self.lookup_memo(parents, donor_idx, state) {
                 if let Some(scored) = self.probe(genes, &(0..genes.len()), &entry, &mut state.patch)
                 {
@@ -760,54 +717,6 @@ impl<'a> MvFitness<'a> {
         self.score(size, transitions, covering.num_used())
     }
 
-    /// Runs one lineage batch through the incremental machinery, handing
-    /// each result to `write` in batch order. The single loop both
-    /// [`FitnessEval::evaluate_batch_with_lineage`] and
-    /// [`FitnessEval::evaluate_batch_with_objectives`] are built on — the
-    /// scalar-only caller simply drops the vector, so the two overrides
-    /// cannot drift apart.
-    fn run_lineage_batch(
-        &self,
-        genomes: &[Vec<Trit>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[Trit]],
-        mut write: impl FnMut(usize, f64, Objectives),
-    ) {
-        debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
-        // Fault injection: a poisoned evaluator panicking mid-batch. The
-        // hit counts once per batch chunk (one call per worker thread), so
-        // deterministic tests pin the engine to one thread.
-        #[cfg(feature = "failpoints")]
-        if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
-            panic!("injected evaluator fault");
-        }
-        self.shared.bump_generation();
-        let mut state = self.checkout();
-        state.memo.clear();
-        state.memo.resize(parents.len(), None);
-        for (i, (genes, lin)) in genomes.iter().zip(lineage).enumerate() {
-            let (score, objectives) = match lin {
-                Some(lin) if lin.parent_idx < parents.len() => {
-                    let second = lin.second_parent.filter(|&i| i < parents.len());
-                    self.evaluate_lineage_child(
-                        genes,
-                        parents,
-                        lin.parent_idx,
-                        second,
-                        &lin.edit,
-                        &mut state,
-                    )
-                }
-                _ => {
-                    self.shared.record_fallback();
-                    self.evaluate_with_objectives(genes, &mut state.scratch)
-                }
-            };
-            write(i, score, objectives);
-        }
-        self.checkin(state);
-    }
-
     /// Checks a warmed-up worker state out of the pool. A poisoned pool (a
     /// panicking sibling worker) degrades to a fresh state; results are
     /// unaffected either way.
@@ -832,54 +741,26 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         self.evaluate_oracle(genes).0
     }
 
-    /// One [`crate::EvalScratch`] per batch chunk: the parallel evaluator
-    /// calls this exactly once per worker thread, so every worker reuses a
-    /// single set of kernel buffers for its whole chunk — and the buffers
-    /// themselves are checked out of the worker-state pool on `self`, so
-    /// they survive from generation to generation instead of being
-    /// reallocated per batch.
-    fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
-        // Fault injection mirror of the lineage path: both batch entry
-        // points answer to the same site name.
-        #[cfg(feature = "failpoints")]
-        if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
-            panic!("injected evaluator fault");
-        }
-        let mut state = self.checkout();
-        for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
-            *slot = self.evaluate_scratch(genes, &mut state.scratch);
-        }
-        self.checkin(state);
-    }
-
-    /// The incremental path. Children carrying provenance are priced as an
-    /// edit of a cached parent covering; a parent cache is built once (full
-    /// rebuild) into the **shared** store and then probed read-only by
-    /// every sibling on every worker thread — and, being keyed by genome
-    /// *content*, it keeps serving the same individual across generations
-    /// no matter how selection reorders the population. Children without
-    /// usable provenance take the full kernel.
+    /// The one batch path. Genomes without lineage (the initial population)
+    /// take the full kernel and count no cache event. Children carrying
+    /// provenance are priced as an edit of a cached parent covering; a
+    /// parent cache is built once (full rebuild) into the **shared** store
+    /// and then probed read-only by every sibling on every worker thread —
+    /// and, being keyed by genome *content*, it keeps serving the same
+    /// individual across generations no matter how selection reorders the
+    /// population.
     ///
-    /// Scores are bit-identical to [`FitnessEval::evaluate_batch`]; the
-    /// cache only changes how much work a score costs (and the counters
-    /// reported by [`FitnessEval::cache_stats`]).
-    fn evaluate_batch_with_lineage(
-        &self,
-        genomes: &[Vec<Trit>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[Trit]],
-        out: &mut [f64],
-    ) {
-        self.run_lineage_batch(genomes, lineage, parents, |i, score, _| out[i] = score);
-    }
-
-    /// The same incremental machinery as
-    /// [`FitnessEval::evaluate_batch_with_lineage`], additionally writing
-    /// each genome's minimized objective vector `(encoded_bits,
-    /// scan_transitions, decoder_gate_equivalents)` — all three fall out of
-    /// the same pass (full kernel or incremental patch), so multi-objective
-    /// batches cost exactly what scalar batches do.
-    fn evaluate_batch_with_objectives(
+    /// One worker state — full-kernel scratch, patch scratch, hot slots —
+    /// is checked out of the pool on `self` per call, i.e. per worker
+    /// thread, so buffers survive from generation to generation. Each
+    /// genome's full objective vector `(encoded_bits, scan_transitions,
+    /// decoder_gate_equivalents)` falls out of the same pass (full kernel or
+    /// incremental patch), so multi-objective batches cost exactly what
+    /// scalar batches do. Scores are bit-identical to
+    /// [`MvFitness::evaluate_scratch`]; the cache only changes how much work
+    /// a score costs (and the counters reported by
+    /// [`FitnessEval::cache_stats`]).
+    fn evaluate_batch(
         &self,
         genomes: &[Vec<Trit>],
         lineage: &[Option<Lineage>],
@@ -887,11 +768,26 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         out: &mut [f64],
         objectives: &mut [Objectives],
     ) {
-        debug_assert_eq!(genomes.len(), objectives.len(), "objectives slice length");
-        self.run_lineage_batch(genomes, lineage, parents, |i, score, vector| {
-            out[i] = score;
-            objectives[i] = vector;
-        });
+        debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
+        // Fault injection: a poisoned evaluator panicking mid-batch. The
+        // hit counts once per batch chunk (one call per worker thread), so
+        // deterministic tests pin the engine to one thread.
+        #[cfg(feature = "failpoints")]
+        if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
+            panic!("injected evaluator fault");
+        }
+        self.shared.bump_generation();
+        let mut state = self.checkout();
+        state.memo.clear();
+        state.memo.resize(parents.len(), None);
+        let slots = out.iter_mut().zip(objectives.iter_mut());
+        for ((genes, lin), (slot, vector)) in genomes.iter().zip(lineage).zip(slots) {
+            (*slot, *vector) = match lin {
+                Some(lin) => self.evaluate_lineage_child(genes, parents, lin, &mut state),
+                None => self.evaluate_with_objectives(genes, &mut state.scratch),
+            };
+        }
+        self.checkin(state);
     }
 
     /// Hit/miss/fallback counters of the shared parent cache — surfaced by
@@ -1316,17 +1212,22 @@ mod tests {
         let histogram = BlockHistogram::from_string(&string);
         let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
         let mut scratch = crate::EvalScratch::new();
-        let mut cache = crate::EvalCache::new();
         for genes in probe_genomes(8, 4) {
             let oracle = fitness.evaluate_oracle(&genes);
             let kernel = fitness.evaluate_with_objectives(&genes, &mut scratch);
             assert_eq!(oracle, kernel, "oracle vs kernel");
             assert_eq!(fitness.evaluate(&genes).to_bits(), oracle.0.to_bits());
-            assert_eq!(
-                fitness.evaluate_cached(&genes, None, &mut cache).to_bits(),
-                oracle.0.to_bits(),
-                "cached rebuild scalar"
-            );
+            // The batch call, without lineage (kernel) and as an exact copy
+            // of a parent (rebuild, then a probe of the cached parent).
+            let batch = vec![genes.clone(), genes.clone()];
+            let lineage = vec![None, Some(Lineage::new(0, 0..0))];
+            let mut scores = vec![f64::NAN; 2];
+            let mut objectives = vec![Objectives::NAN; 2];
+            fitness.evaluate_batch(&batch, &lineage, &[&genes], &mut scores, &mut objectives);
+            for (score, vector) in scores.iter().zip(&objectives) {
+                assert_eq!(score.to_bits(), oracle.0.to_bits(), "batch scalar");
+                assert_eq!(*vector, oracle.1, "batch objectives");
+            }
         }
     }
 
@@ -1418,13 +1319,7 @@ mod tests {
         let lineage: Vec<_> = genomes.iter().map(|_| None).collect();
         let mut scores = vec![f64::NAN; genomes.len()];
         let mut objectives = vec![Objectives::NAN; genomes.len()];
-        fitness.evaluate_batch_with_objectives(
-            &genomes,
-            &lineage,
-            &[],
-            &mut scores,
-            &mut objectives,
-        );
+        fitness.evaluate_batch(&genomes, &lineage, &[], &mut scores, &mut objectives);
         for (score, vector) in scores.iter().zip(&objectives) {
             assert!(score.is_finite());
             assert!(vector.is_finite());

@@ -35,25 +35,26 @@
 //! its *position* in covering order — is still a patch: the key comparison
 //! re-ranks the moved MV without renumbering anything.
 //!
-//! The public pricing API is three functions; the two that price an edit
-//! share one preamble (shape gate, lineage check, changed-chunk detection):
+//! The public pricing API is three functions. Pricing never writes to the
+//! cache: a cached parent is rebuilt once and then only read, so one parent
+//! prices any number of children, from any number of threads at once (see
+//! [`crate::SharedParentCache`]). The two pricing functions share one
+//! preamble (shape and histogram gate, lineage check, changed-chunk
+//! detection) and keep their per-call working memory in a caller-owned
+//! [`PatchScratch`]:
 //!
 //! * [`encoded_size_rebuild`] fully evaluates a genome into a cache;
-//! * [`encoded_size_incremental`] prices an edit of the cached genome,
-//!   ungated: `commit = false` is a read-only probe, so one cached parent
-//!   can price any number of speculative children, and `commit = true`
-//!   advances the cache to the child (mutation chains);
-//! * [`encoded_size_probe`] prices a child against a **shared**
-//!   `&EvalCache` — the per-call scratch lives in a caller-owned
-//!   [`PatchScratch`], so one immutable cached parent serves every thread
-//!   concurrently (see [`crate::SharedParentCache`]) — and declines
-//!   multi-chunk edits whose estimated patch cost exceeds a full rescan.
+//! * [`encoded_size_probe`] prices a child against a cached parent and
+//!   declines multi-chunk edits whose estimated patch cost exceeds a full
+//!   rescan — what the EA runs;
+//! * [`encoded_size_incremental`] is the same price without that cost gate,
+//!   so every window reaches the patch path (tests and benches use it).
 //!
 //! The incremental path is **bit-identical** to the full kernel for every
 //! edit it prices (enforced by `tests/props_incremental.rs` and the CI
 //! equivalence gate); it falls back (see [`IncrementalOutcome::NeedsFull`])
-//! only when the cache is cold, shapes differ, or the probe's cost gate
-//! judges a rescan cheaper.
+//! only when the cache is cold, was rebuilt against another histogram or
+//! shape, or the probe's cost gate judges a rescan cheaper.
 
 use std::ops::Range;
 
@@ -69,11 +70,12 @@ const NO_MV: u32 = u32::MAX;
 /// A parent genome's fully evaluated covering state, reusable to price
 /// lightly edited children in time proportional to the edit.
 ///
-/// Build it with [`encoded_size_rebuild`], then feed children to
-/// [`encoded_size_incremental`] (or, sharing the cache read-only across
-/// threads, to [`encoded_size_probe`]). One cache holds one genome; buffers
-/// are retained across rebuilds, so recycling a cache for a different
-/// parent costs no allocations after warm-up.
+/// Build it with [`encoded_size_rebuild`], then price children against it
+/// with [`encoded_size_probe`] (or the ungated [`encoded_size_incremental`]).
+/// Pricing only reads the cache, so one cached parent serves every thread
+/// concurrently. One cache holds one genome; buffers are retained across
+/// rebuilds, so recycling a cache for a different parent costs no
+/// allocations after warm-up.
 ///
 /// # Example
 ///
@@ -81,7 +83,7 @@ const NO_MV: u32 = u32::MAX;
 /// use evotc_bits::{BlockHistogram, SlicedHistogram, TestSet, TestSetString, Trit};
 /// use evotc_core::{
 ///     encoded_size_incremental, encoded_size_rebuild, encoded_size_scratch, EvalCache,
-///     EvalScratch, IncrementalOutcome,
+///     EvalScratch, IncrementalOutcome, PatchScratch,
 /// };
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -93,41 +95,34 @@ const NO_MV: u32 = u32::MAX;
 /// let mut cache = EvalCache::new();
 /// let full = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
 ///
-/// // Mutate one gene and re-price incrementally.
+/// // Mutate one gene and price the child against the cached parent.
 /// let mut child = parent.clone();
 /// child[5] = Trit::One;
-/// let inc = encoded_size_incremental(&sliced, &child, false, &(5..6), false, &mut cache);
+/// let mut scratch = PatchScratch::new();
+/// let inc = encoded_size_incremental(&sliced, &child, false, &(5..6), &cache, &mut scratch);
 /// let reference = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
 /// assert_eq!(inc, IncrementalOutcome::Size(reference));
-/// // The probe left the cache on the parent: an empty edit returns its size.
-/// let cached = encoded_size_incremental(&sliced, &parent, false, &(0..0), false, &mut cache);
+/// // The cache still holds the parent: an empty edit returns its size.
+/// let cached = encoded_size_incremental(&sliced, &parent, false, &(0..0), &cache, &mut scratch);
 /// assert_eq!(cached, IncrementalOutcome::Size(full));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EvalCache {
-    /// The parent's covering state — read-only during probes.
-    state: CoverState,
-    /// Per-call scratch for the convenience `&mut EvalCache` entry points.
-    scratch: PatchScratch,
-}
-
-/// The immutable-between-edits half of an [`EvalCache`]: everything needed
-/// to describe one genome's fully evaluated covering. Probing a child never
-/// writes here, which is what makes a cached parent shareable across
-/// threads.
-#[derive(Debug, Clone, Default)]
-struct CoverState {
     /// Whether the cache holds a complete evaluation.
     warm: bool,
     /// Shape tag of the held evaluation: `(K, L, distinct blocks, words per
     /// column, force_all_u)`. Incremental evaluation requires an exact match.
     shape: (usize, usize, usize, usize, bool),
-    /// The exact genome the planes were decoded from — kept in sync by
-    /// rebuild and every commit, so chunk detection can skip trit-identical
-    /// chunks with one byte compare instead of decoding them (an average
-    /// crossover window spans dozens of chunks of which only a few differ).
+    /// [`SlicedHistogram::content_id`] of the histogram the cache was
+    /// rebuilt against; pricing against any other histogram needs the full
+    /// kernel.
+    histogram: u64,
+    /// The exact genome the planes were decoded from, so chunk detection
+    /// can skip trit-identical chunks with one byte compare instead of
+    /// decoding them (an average crossover window spans dozens of chunks of
+    /// which only a few differ).
     genes: Vec<Trit>,
     /// Specified-position plane per MV, genome order, post-`force_all_u`.
     spec: Vec<u64>,
@@ -159,13 +154,13 @@ struct CoverState {
     mv_zeros: Vec<u64>,
     /// Number of blocks owned by no MV (`> 0` ⇔ covering impossible).
     uncovered: usize,
-    /// Total fill bits: `Σ freq[j] · N_U(j)`, maintained even while
-    /// infeasible so feasibility can flip back cheaply.
+    /// Total fill bits: `Σ freq[j] · N_U(j)`, kept even while infeasible so
+    /// a child that restores feasibility prices from it.
     fill_bits: u64,
     /// Scan-in transition count of the held genome (the power objective;
     /// see [`crate::EvalScratch::last_scan_transitions`] for the model).
-    /// Maintained — like `fill_bits` — even while infeasible; uncovered
-    /// blocks contribute zero.
+    /// Kept — like `fill_bits` — even while infeasible; uncovered blocks
+    /// contribute zero.
     scan_transitions: u64,
     /// Sorted nonzero-frequency leaf queue for Huffman delta re-pricing.
     huffman: HuffmanDeltaState,
@@ -173,17 +168,17 @@ struct CoverState {
     total: Option<u64>,
 }
 
-/// Per-call working memory of the incremental engine: mismatch planes,
-/// deferred move/delta lists, the multi-chunk working copy of the covering,
-/// and the Huffman patch queue. Contents carry no meaning between calls.
+/// Per-call working memory of the incremental engine: mismatch planes, the
+/// frequency-delta list, the multi-chunk working copy of the covering, and
+/// the Huffman patch queue. Contents carry no meaning between calls, except
+/// the side-channel objectives of the last priced child.
 ///
-/// Every [`EvalCache`] embeds one (used by the `&mut EvalCache` entry
-/// points); threads probing a **shared** parent cache own one each and pass
-/// it to [`encoded_size_probe`]. Buffers grow to the largest shape seen and
-/// are reused, so steady-state probes allocate nothing.
+/// Threads pricing against a **shared** parent cache own one each. Buffers
+/// grow to the largest shape seen and are reused, so steady-state probes
+/// allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
-    /// Mismatch bitset of the edited MV (single-chunk path and rebuild).
+    /// Mismatch bitset of the edited MV (single-chunk path).
     mismatch: Vec<u64>,
     /// Changed chunks of the current edit: `(chunk, new spec, new value)`,
     /// ascending chunk order.
@@ -201,16 +196,13 @@ pub struct PatchScratch {
     /// Pre-steal snapshot of the edited MV's owned bits (the orphan
     /// re-flow candidates of the multi-chunk path).
     own_snap: Vec<u64>,
-    /// `(block, new owner)` reassignments of a single-chunk evaluation.
-    moves: Vec<(u32, u32)>,
     /// `(MV, frequency delta)` of a single-chunk evaluation.
     deltas: Vec<(u32, i64)>,
     /// `(old, new)` frequency changes handed to the Huffman delta.
     changes: Vec<(u64, u64)>,
     /// Patched leaf queue produced by the Huffman delta.
     huff_scratch: HuffmanDeltaState,
-    /// Multi-chunk working copies of the covering state. Committing a
-    /// multi-chunk edit swaps these into the state wholesale.
+    /// Multi-chunk working copies of the covering state.
     w_spec: Vec<u64>,
     w_value: Vec<u64>,
     w_nu: Vec<u32>,
@@ -233,10 +225,10 @@ pub struct PatchScratch {
     touch_epoch: Vec<u64>,
     /// Current evaluation's epoch (monotone; never reset).
     epoch: u64,
-    /// Transition count of the child priced by the last probe (see
+    /// Transition count of the child priced by the last call (see
     /// [`PatchScratch::last_scan_transitions`]).
     last_transitions: u64,
-    /// Used-MV count of the child priced by the last probe.
+    /// Used-MV count of the child priced by the last call.
     last_used: usize,
 }
 
@@ -246,7 +238,7 @@ impl PatchScratch {
         PatchScratch::default()
     }
 
-    /// Scan-in transition count of the child priced by the last probe that
+    /// Scan-in transition count of the child priced by the last call that
     /// answered [`IncrementalOutcome::Size`] through this scratch — the same
     /// model as [`crate::EvalScratch::last_scan_transitions`], bit-identical
     /// to what the full kernel reports for the same genome. Meaningless
@@ -273,7 +265,7 @@ impl EvalCache {
 
     /// Returns `true` if the cache holds a complete evaluation.
     pub fn is_warm(&self) -> bool {
-        self.state.warm
+        self.warm
     }
 
     /// The held genome's encoded size (`None` ⇔ covering impossible).
@@ -282,8 +274,8 @@ impl EvalCache {
     ///
     /// Panics if the cache is cold.
     pub fn encoded_size(&self) -> Option<u64> {
-        assert!(self.state.warm, "cache is cold");
-        self.state.total
+        assert!(self.warm, "cache is cold");
+        self.total
     }
 
     /// The held genome's scan-in transition count (the power objective; see
@@ -294,8 +286,8 @@ impl EvalCache {
     ///
     /// Panics if the cache is cold.
     pub fn scan_transitions(&self) -> u64 {
-        assert!(self.state.warm, "cache is cold");
-        self.state.scan_transitions
+        assert!(self.warm, "cache is cold");
+        self.scan_transitions
     }
 
     /// Number of MVs with nonzero frequency in the held genome — the
@@ -305,8 +297,8 @@ impl EvalCache {
     ///
     /// Panics if the cache is cold.
     pub fn used_mvs(&self) -> usize {
-        assert!(self.state.warm, "cache is cold");
-        self.state.huffman.leaves().len()
+        assert!(self.warm, "cache is cold");
+        self.huffman.leaves().len()
     }
 }
 
@@ -317,9 +309,10 @@ pub enum IncrementalOutcome {
     /// `None` if its covering is impossible — exactly what
     /// [`crate::encoded_size_scratch`] returns for the same genome.
     Size(Option<u64>),
-    /// The edit cannot be applied incrementally (cold cache, shape
-    /// mismatch, or — [`encoded_size_probe`] only — a patch estimated
-    /// costlier than a full rescan); run the full kernel instead.
+    /// The edit cannot be applied incrementally (cold cache, a cache
+    /// rebuilt against another histogram or shape, or — [`encoded_size_probe`]
+    /// only — a patch estimated costlier than a full rescan); run the full
+    /// kernel instead.
     NeedsFull,
 }
 
@@ -341,8 +334,8 @@ fn decode_chunk(chunk: &[Trit]) -> (u64, u64) {
 ///
 /// Returns the encoded size, **bit-identical** to
 /// [`crate::encoded_size_scratch`] over the same inputs (`None` ⇔ covering
-/// impossible; the cache stays warm either way, so feasibility can flip back
-/// on a later edit).
+/// impossible; the cache stays warm either way, so a child that restores
+/// feasibility still prices against it).
 ///
 /// # Panics
 ///
@@ -363,11 +356,11 @@ pub fn encoded_size_rebuild(
     let l = genes.len() / k;
     let words = sliced.words_per_column();
     let n = sliced.num_distinct();
-    let state = &mut cache.state;
-    let scratch = &mut cache.scratch;
+    let state = cache;
 
     state.warm = false;
     state.shape = (k, l, n, words, force_all_u);
+    state.histogram = sliced.content_id();
     state.genes.clear();
     state.genes.extend_from_slice(genes);
     state.spec.clear();
@@ -435,8 +428,7 @@ pub fn encoded_size_rebuild(
             u64::MAX
         };
     }
-    scratch.mismatch.clear();
-    scratch.mismatch.resize(words, 0);
+    let mut mismatch = vec![0u64; words];
     let counts = sliced.counts();
     let mut blocks_left = n;
     let mut fill_bits = 0u64;
@@ -446,10 +438,10 @@ pub fn encoded_size_rebuild(
             break; // every block owned; the rest keep frequency 0
         }
         let j = j as usize;
-        scratch.mismatch.iter_mut().for_each(|w| *w = 0);
-        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut scratch.mismatch);
+        mismatch.iter_mut().for_each(|w| *w = 0);
+        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut mismatch);
         let mut freq = 0u64;
-        for (w, &mis) in scratch.mismatch.iter().enumerate() {
+        for (w, &mis) in mismatch.iter().enumerate() {
             let taken = state.unowned[w] & !mis;
             if taken == 0 {
                 continue;
@@ -484,7 +476,11 @@ pub fn encoded_size_rebuild(
 }
 
 /// Prices `genes` — a copy of the cached genome except inside `edit` — by
-/// patching the cache's covering instead of rescanning it.
+/// patching a working copy of the cache's covering instead of rescanning
+/// it. The cache is only read, so any number of children can be priced
+/// against one parent; the per-call working memory lives in `scratch`,
+/// which afterwards also holds the child's side-channel objectives
+/// ([`PatchScratch::last_scan_transitions`], [`PatchScratch::last_used_mvs`]).
 ///
 /// The contract on `edit` is the engine's lineage contract (see
 /// `evotc_evo::Lineage`): every position **outside** the range equals the
@@ -495,65 +491,31 @@ pub fn encoded_size_rebuild(
 /// donor); the cost is proportional to the number of MV chunks whose
 /// planes actually changed.
 ///
-/// With `commit = false` the cache is left on the (parent) genome it held,
-/// so any number of children can be probed against it; with `commit = true`
-/// the cache advances to `genes` (chains of edits).
+/// Returns [`IncrementalOutcome::NeedsFull`] when the edit is not
+/// incrementally priceable: cold cache, a cache rebuilt against a
+/// different histogram ([`SlicedHistogram::content_id`]), or mismatched
+/// shape (block length, genome length, distinct-block count and word width,
+/// `force_all_u`). Otherwise the returned size is **bit-identical** to
+/// [`crate::encoded_size_scratch`] over `genes`.
 ///
-/// Returns [`IncrementalOutcome::NeedsFull`] — and leaves the cache
-/// untouched — when the edit is not incrementally priceable: cold cache or
-/// mismatched shape (block length, genome length, distinct-block count and
-/// word width, `force_all_u`). Otherwise the returned size is
-/// **bit-identical** to [`crate::encoded_size_scratch`] over `genes`.
-///
-/// The shape tag cannot distinguish two *different* histograms with equal
-/// dimensions: passing a `sliced` other than the one the cache was rebuilt
-/// against is the caller's bug and silently prices garbage. Keep one cache
-/// per histogram, as [`MvFitness`](crate::MvFitness) does.
+/// Unlike [`encoded_size_probe`], this price is not cost-gated: every
+/// multi-chunk window takes the patch path, however expensive. The EA uses
+/// the gated probe; this is the reference that reaches every window.
 pub fn encoded_size_incremental(
     sliced: &SlicedHistogram,
     genes: &[Trit],
     force_all_u: bool,
     edit: &Range<usize>,
-    commit: bool,
-    cache: &mut EvalCache,
+    cache: &EvalCache,
+    scratch: &mut PatchScratch,
 ) -> IncrementalOutcome {
-    let EvalCache { state, scratch } = cache;
-    let total = match plan(sliced, genes, force_all_u, edit, state, scratch, None) {
-        Plan::NeedsFull => return IncrementalOutcome::NeedsFull,
-        Plan::Unchanged => state.total,
-        Plan::Patch => match scratch.edited[..] {
-            [(i, nspec, nvalue)] => {
-                let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-                if commit {
-                    commit_single(state, scratch, &patch);
-                }
-                patch.total
-            }
-            _ => {
-                let patch = probe_multi(sliced, state, scratch);
-                if commit {
-                    commit_multi(state, scratch, &patch);
-                }
-                patch.total
-            }
-        },
-    };
-    // Adopting the child includes adopting its genes: outside `edit` they
-    // equal the cached genome by the lineage contract, so syncing the
-    // window keeps `state.genes` exact for the next detection fast path.
-    if commit {
-        state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-    }
-    IncrementalOutcome::Size(total)
+    price(sliced, genes, force_all_u, edit, cache, scratch, None)
 }
 
-/// Read-only, cost-gated form of [`encoded_size_incremental`]: prices a
-/// child against a **shared** parent cache without ever writing to it,
-/// keeping the per-call working memory in a caller-owned [`PatchScratch`].
-///
-/// This is the entry point for cross-thread cache sharing (see
-/// [`crate::SharedParentCache`]): any number of worker threads can probe
-/// the same `&EvalCache` concurrently, each with its own scratch.
+/// Cost-gated form of [`encoded_size_incremental`], and the one the EA
+/// runs: any number of worker threads can probe the same `&EvalCache`
+/// concurrently, each with its own scratch (see
+/// [`crate::SharedParentCache`]).
 ///
 /// The multi-chunk path is **cost-gated**: when the estimated
 /// ownership-patch work exceeds the estimated cost of a full rescan, the
@@ -565,8 +527,8 @@ pub fn encoded_size_incremental(
 /// whose edited MVs own a large share of the blocks, that approaches (or
 /// exceeds) the `L·(K+2)·words` word-ops of the full kernel. Empty and
 /// single-chunk edits are never gated. Whenever the probe answers `Size`,
-/// the result is bit-identical to [`encoded_size_incremental`] with
-/// `commit = false` over the same inputs (it runs the identical patch).
+/// the result is bit-identical to [`encoded_size_incremental`] over the
+/// same inputs (it runs the identical patch).
 ///
 /// # Example
 ///
@@ -612,16 +574,27 @@ pub fn encoded_size_probe(
     cache: &EvalCache,
     scratch: &mut PatchScratch,
 ) -> IncrementalOutcome {
-    let state = &cache.state;
-    let budget = Some(full_rescan_cost(state));
-    let total = match plan(sliced, genes, force_all_u, edit, state, scratch, budget) {
+    let budget = Some(full_rescan_cost(cache));
+    price(sliced, genes, force_all_u, edit, cache, scratch, budget)
+}
+
+/// The body of both pricing entry points: [`plan`], then the single- or
+/// multi-chunk patch.
+fn price(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    force_all_u: bool,
+    edit: &Range<usize>,
+    cache: &EvalCache,
+    scratch: &mut PatchScratch,
+    budget: Option<u64>,
+) -> IncrementalOutcome {
+    let total = match plan(sliced, genes, force_all_u, edit, cache, scratch, budget) {
         Plan::NeedsFull => return IncrementalOutcome::NeedsFull,
-        Plan::Unchanged => state.total,
+        Plan::Unchanged => cache.total,
         Plan::Patch => match scratch.edited[..] {
-            [(i, nspec, nvalue)] => {
-                probe_single(sliced, state, scratch, i as usize, nspec, nvalue).total
-            }
-            _ => probe_multi(sliced, state, scratch).total,
+            [(i, nspec, nvalue)] => probe_single(sliced, cache, scratch, i as usize, nspec, nvalue),
+            _ => probe_multi(sliced, cache, scratch),
         },
     };
     IncrementalOutcome::Size(total)
@@ -629,8 +602,8 @@ pub fn encoded_size_probe(
 
 /// What the shared preamble of both pricing entry points decided.
 enum Plan {
-    /// Not incrementally priceable: cold cache, mismatched shape, or a
-    /// multi-chunk patch estimated costlier than the budget.
+    /// Not incrementally priceable: cold cache, another histogram or shape,
+    /// or a multi-chunk patch estimated costlier than the budget.
     NeedsFull,
     /// No chunk's planes changed: the child prices as the cached parent
     /// (whose side-channel objectives are already in the scratch).
@@ -640,13 +613,13 @@ enum Plan {
 }
 
 /// The one preamble of [`encoded_size_incremental`] and
-/// [`encoded_size_probe`]: the warm/shape/edit validity gate (block length,
-/// genome length, distinct-block count and word width, `force_all_u`), the
-/// lineage
-/// contract check, and the chunk detection — the chunks the edit window
-/// overlaps are decoded and those whose planes actually changed recorded
-/// into `scratch.edited` (ascending chunk order). `force_all_u` pins the
-/// last chunk to all-`U` regardless of its genes, so edits there are inert.
+/// [`encoded_size_probe`]: the validity gate (warm cache, the histogram it
+/// was rebuilt against, block length, genome length, distinct-block count
+/// and word width, `force_all_u`, edit bounds), the lineage contract check,
+/// and the chunk detection — the chunks the edit window overlaps are
+/// decoded and those whose planes actually changed recorded into
+/// `scratch.edited` (ascending chunk order). `force_all_u` pins the last
+/// chunk to all-`U` regardless of its genes, so edits there are inert.
 ///
 /// With a `budget` (in [`full_rescan_cost`] units), the patch-cost estimate
 /// accumulates as changed chunks are found, and the walk stops the moment a
@@ -658,12 +631,13 @@ fn plan(
     genes: &[Trit],
     force_all_u: bool,
     edit: &Range<usize>,
-    state: &CoverState,
+    state: &EvalCache,
     scratch: &mut PatchScratch,
     budget: Option<u64>,
 ) -> Plan {
     let k = sliced.block_len();
     let shapes_match = state.warm
+        && state.histogram == sliced.content_id()
         && !genes.is_empty()
         && genes.len() % k == 0
         && state.shape
@@ -717,14 +691,14 @@ fn plan(
 /// Estimated cost of the full kernel over the cached shape: every MV
 /// filters every block column, `L · (K + 2) · words` word operations. The
 /// unit calibrates the patch-cost estimates below: one full-kernel word op.
-fn full_rescan_cost(state: &CoverState) -> u64 {
+fn full_rescan_cost(state: &EvalCache) -> u64 {
     let (k, l, _, words, _) = state.shape;
     (l * (k + 2) * words) as u64
 }
 
 /// Estimated cost of the working-copy memcpys a multi-chunk patch pays
 /// once per probe, in [`full_rescan_cost`] units.
-fn patch_copy_cost(state: &CoverState) -> u64 {
+fn patch_copy_cost(state: &EvalCache) -> u64 {
     let (k, l, _, words, _) = state.shape;
     let wl = l.div_ceil(64);
     (l * words + 2 * k * wl + 5 * l + words) as u64
@@ -738,7 +712,7 @@ fn patch_copy_cost(state: &CoverState) -> u64 {
 /// comes to roughly `8 · (K · ceil(L/64) + 8)` units per orphan (the probe
 /// runs ~0.8 µs per changed chunk on the paper shape where the full rescan
 /// runs ~4.4 µs, so the break-even sits near four changed chunks).
-fn chunk_patch_cost(state: &CoverState, chunk: usize) -> u64 {
+fn chunk_patch_cost(state: &EvalCache, chunk: usize) -> u64 {
     let (k, l, _, words, _) = state.shape;
     let wl = l.div_ceil(64);
     let per_orphan = 8 * (k * wl + 8) as u64;
@@ -930,35 +904,19 @@ fn steal_candidates(
     }
 }
 
-/// Everything [`commit_single`] needs to advance the state to the child,
-/// produced by the read-only [`probe_single`] pass (the block moves and
-/// frequency deltas themselves are deferred in the scratch).
-struct SinglePatch {
-    i: usize,
-    nspec: u64,
-    nvalue: u64,
-    nnu: u32,
-    old_key: u64,
-    new_key: u64,
-    fill: u64,
-    transitions: u64,
-    uncovered: usize,
-    huffman_bits: u64,
-    total: Option<u64>,
-}
-
-/// Prices a single changed chunk against the state without writing to it:
-/// the deferred patch (steal set, orphan re-flow, Huffman delta), kept as
-/// the fast path because it avoids the working-copy memcpys of the
-/// multi-chunk path.
+/// Prices a single changed chunk against the cache without writing to it:
+/// the steal set, orphan re-flow and Huffman delta are accumulated as
+/// frequency deltas in the scratch. Kept next to [`probe_multi`] as the
+/// fast path because it avoids the working-copy memcpys of the multi-chunk
+/// path.
 fn probe_single(
     sliced: &SlicedHistogram,
-    state: &CoverState,
+    state: &EvalCache,
     scratch: &mut PatchScratch,
     i: usize,
     nspec: u64,
     nvalue: u64,
-) -> SinglePatch {
+) -> Option<u64> {
     let k = sliced.block_len();
     let words = sliced.words_per_column();
     let counts = sliced.counts();
@@ -972,7 +930,6 @@ fn probe_single(
     scratch.mismatch.resize(words, 0);
     sliced.accumulate_mismatch(nspec, nvalue, &mut scratch.mismatch);
 
-    scratch.moves.clear();
     scratch.deltas.clear();
     let mut uncovered = state.uncovered;
     // Transition deltas ride along with the ownership moves: every block
@@ -1005,7 +962,6 @@ fn probe_single(
             let d = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let a = state.owner[d];
-            scratch.moves.push((d as u32, i as u32));
             add_delta(&mut scratch.deltas, i as u32, counts[d] as i64);
             let (_, bv) = sliced.block_planes(d);
             trans += (counts[d] * block_transitions(nvalue | bv, k)) as i64;
@@ -1080,7 +1036,6 @@ fn probe_single(
                     }
                     continue; // stays put
                 }
-                scratch.moves.push((d as u32, new_owner));
                 add_delta(&mut scratch.deltas, i as u32, -(counts[d] as i64));
                 trans -= (counts[d] * block_transitions(state.value[i] | bvalue, k)) as i64;
                 if new_owner == NO_MV {
@@ -1120,90 +1075,7 @@ fn probe_single(
     };
     scratch.last_transitions = trans as u64;
     scratch.last_used = scratch.huff_scratch.leaves().len();
-    SinglePatch {
-        i,
-        nspec,
-        nvalue,
-        nnu,
-        old_key,
-        new_key,
-        fill: fill as u64,
-        transitions: trans as u64,
-        uncovered,
-        huffman_bits,
-        total,
-    }
-}
-
-/// Advances the state to the child priced by [`probe_single`], applying the
-/// deferred moves and deltas (mutation-chain semantics).
-fn commit_single(state: &mut CoverState, scratch: &mut PatchScratch, patch: &SinglePatch) {
-    let i = patch.i;
-    let words = state.shape.3;
-    for &(d, to) in &scratch.moves {
-        let d = d as usize;
-        let (w, bit) = (d / 64, 1u64 << (d % 64));
-        let from = state.owner[d];
-        if from == NO_MV {
-            state.unowned[w] &= !bit;
-        } else {
-            state.owned[from as usize * words + w] &= !bit;
-        }
-        if to == NO_MV {
-            state.unowned[w] |= bit;
-        } else {
-            state.owned[to as usize * words + w] |= bit;
-        }
-        state.owner[d] = to;
-    }
-    let wl = state.shape.1.div_ceil(64);
-    update_mv_columns(
-        &mut state.mv_ones,
-        &mut state.mv_zeros,
-        wl,
-        i,
-        state.spec[i],
-        state.value[i],
-        patch.nspec,
-        patch.nvalue,
-    );
-    state.spec[i] = patch.nspec;
-    state.value[i] = patch.nvalue;
-    state.nu[i] = patch.nnu;
-    if patch.new_key != patch.old_key {
-        let old_rank = state
-            .order
-            .iter()
-            .position(|&j| j as usize == i)
-            .expect("cached MV is in the covering order");
-        state.order.remove(old_rank);
-        let nu = &state.nu;
-        let at = state.order.partition_point(|&j| {
-            covering_key(nu[j as usize] as usize, j as usize) < patch.new_key
-        });
-        state.order.insert(at, i as u32);
-    }
-    for &(j, delta) in &scratch.deltas {
-        let slot = &mut state.freq[j as usize];
-        *slot = (*slot as i64 + delta) as u64;
-    }
-    state.fill_bits = patch.fill;
-    state.scan_transitions = patch.transitions;
-    state.uncovered = patch.uncovered;
-    state
-        .huffman
-        .adopt_leaves_from(&mut scratch.huff_scratch, patch.huffman_bits);
-    state.total = patch.total;
-}
-
-/// Result of the multi-chunk working-copy patch; the patched covering
-/// itself lives in the scratch's `w_*` buffers until committed.
-struct MultiPatch {
-    fill: u64,
-    transitions: u64,
-    uncovered: usize,
-    huffman_bits: u64,
-    total: Option<u64>,
+    total
 }
 
 /// Prices a multi-chunk edit (`scratch.edited`, two or more entries)
@@ -1214,9 +1086,9 @@ struct MultiPatch {
 /// and re-prices the Huffman cost through one netted frequency delta.
 fn probe_multi(
     sliced: &SlicedHistogram,
-    state: &CoverState,
+    state: &EvalCache,
     scratch: &mut PatchScratch,
-) -> MultiPatch {
+) -> Option<u64> {
     let k = sliced.block_len();
     let words = sliced.words_per_column();
     let counts = sliced.counts();
@@ -1453,36 +1325,7 @@ fn probe_multi(
     };
     *last_transitions = trans as u64;
     *last_used = huff_scratch.leaves().len();
-    MultiPatch {
-        fill: fill as u64,
-        transitions: trans as u64,
-        uncovered,
-        huffman_bits,
-        total,
-    }
-}
-
-/// Advances the state to the child priced by [`probe_multi`]: the patched
-/// working buffers are swapped in wholesale (`O(1)` per array; the state's
-/// old buffers become next call's working storage).
-fn commit_multi(state: &mut CoverState, scratch: &mut PatchScratch, patch: &MultiPatch) {
-    std::mem::swap(&mut state.spec, &mut scratch.w_spec);
-    std::mem::swap(&mut state.value, &mut scratch.w_value);
-    std::mem::swap(&mut state.nu, &mut scratch.w_nu);
-    std::mem::swap(&mut state.order, &mut scratch.w_order);
-    std::mem::swap(&mut state.freq, &mut scratch.w_freq);
-    std::mem::swap(&mut state.owner, &mut scratch.w_owner);
-    std::mem::swap(&mut state.owned, &mut scratch.w_owned);
-    std::mem::swap(&mut state.unowned, &mut scratch.w_unowned);
-    std::mem::swap(&mut state.mv_ones, &mut scratch.w_mv_ones);
-    std::mem::swap(&mut state.mv_zeros, &mut scratch.w_mv_zeros);
-    state.fill_bits = patch.fill;
-    state.scan_transitions = patch.transitions;
-    state.uncovered = patch.uncovered;
-    state
-        .huffman
-        .adopt_leaves_from(&mut scratch.huff_scratch, patch.huffman_bits);
-    state.total = patch.total;
+    total
 }
 
 /// Accumulates a frequency delta for one MV (tiny linear-probed list — a
@@ -1513,7 +1356,7 @@ fn touch(touched: &mut Vec<(u32, u64)>, touch_epoch: &mut [u64], epoch: u64, fre
 /// genome with undeclared differences would silently get the wrong fitness;
 /// this makes it loud where tests run (release builds never call it).
 fn genome_matches_cache_outside(
-    state: &CoverState,
+    state: &EvalCache,
     genes: &[Trit],
     k: usize,
     edit: &Range<usize>,
@@ -1558,39 +1401,65 @@ mod tests {
         evotc_bits::parse_trits(&s.replace(' ', "")).unwrap()
     }
 
-    /// Applies every single-gene edit to `parent` and checks the incremental
-    /// price (probe and commit) against the full kernel.
+    /// Prices `child` as an `edit` of the genome cached in `cache` through
+    /// both entry points and checks them against the full kernel: the
+    /// ungated price always answers with the kernel's size, the gated probe
+    /// answers the same or declines — never for an edit inside one chunk —
+    /// and whichever answers leaves the kernel's transition and used-MV
+    /// counts in its scratch. Returns the kernel's size.
+    fn check_child(
+        sliced: &SlicedHistogram,
+        cache: &EvalCache,
+        child: &[Trit],
+        force: bool,
+        edit: &Range<usize>,
+    ) -> Option<u64> {
+        let mut kernel = EvalScratch::new();
+        let expect = encoded_size_scratch(sliced, child, force, &mut kernel);
+        let objectives = (kernel.last_scan_transitions(), kernel.last_used_mvs());
+        let mut scratch = PatchScratch::new();
+        let ungated = encoded_size_incremental(sliced, child, force, edit, cache, &mut scratch);
+        assert_eq!(
+            ungated,
+            IncrementalOutcome::Size(expect),
+            "ungated {edit:?}"
+        );
+        assert_eq!(
+            (scratch.last_scan_transitions(), scratch.last_used_mvs()),
+            objectives,
+            "ungated objectives {edit:?}"
+        );
+        let mut scratch = PatchScratch::new();
+        match encoded_size_probe(sliced, child, force, edit, cache, &mut scratch) {
+            IncrementalOutcome::Size(got) => {
+                assert_eq!(got, expect, "gated {edit:?}");
+                assert_eq!(
+                    (scratch.last_scan_transitions(), scratch.last_used_mvs()),
+                    objectives,
+                    "gated objectives {edit:?}"
+                );
+            }
+            IncrementalOutcome::NeedsFull => {
+                let k = sliced.block_len();
+                assert!(
+                    !edit.is_empty() && edit.start / k != (edit.end - 1) / k,
+                    "gated a one-chunk edit {edit:?}"
+                );
+            }
+        }
+        expect
+    }
+
+    /// Applies every single-gene edit to `parent` and checks both prices of
+    /// the child against the full kernel.
     fn exhaustive_single_gene_edits(sliced: &SlicedHistogram, parent: &[Trit], force: bool) {
-        let mut scratch = EvalScratch::new();
+        let mut cache = EvalCache::new();
+        encoded_size_rebuild(sliced, parent, force, &mut cache);
         for pos in 0..parent.len() {
             for g in 0..3u8 {
-                let mut cache = EvalCache::new();
-                encoded_size_rebuild(sliced, parent, force, &mut cache);
                 let mut child = parent.to_vec();
                 child[pos] = Trit::from_index(g);
-                let expect = encoded_size_scratch(sliced, &child, force, &mut scratch);
-                let expect_trans = scratch.last_scan_transitions();
-                let expect_used = scratch.last_used_mvs();
-                for commit in [false, true] {
-                    let got = encoded_size_incremental(
-                        sliced,
-                        &child,
-                        force,
-                        &(pos..pos + 1),
-                        commit,
-                        &mut cache,
-                    );
-                    assert_eq!(
-                        got,
-                        IncrementalOutcome::Size(expect),
-                        "pos {pos} gene {g} commit {commit} parent {parent:?}"
-                    );
-                }
-                // After the commit the cache prices the child as its own —
-                // size, transition count and used-MV count alike.
-                assert_eq!(cache.encoded_size(), expect);
-                assert_eq!(cache.scan_transitions(), expect_trans, "pos {pos} gene {g}");
-                assert_eq!(cache.used_mvs(), expect_used, "pos {pos} gene {g}");
+                check_child(sliced, &cache, &child, force, &(pos..pos + 1));
             }
         }
     }
@@ -1611,76 +1480,24 @@ mod tests {
         }
     }
 
-    /// Applies every `width`-gene window rewrite to `parent` and checks the
-    /// incremental price (ungated probe, gated shared probe, and commit)
-    /// against the full kernel. Windows straddle chunk boundaries by
-    /// construction whenever `width > 1` and the genome has several chunks.
+    /// Applies every `width`-gene window rewrite to `parent` and checks both
+    /// prices of the child against the full kernel. Windows straddle chunk
+    /// boundaries by construction whenever `width > 1` and the genome has
+    /// several chunks.
     fn exhaustive_window_edits(
         sliced: &SlicedHistogram,
         parent: &[Trit],
         width: usize,
         force: bool,
     ) {
-        let mut scratch = EvalScratch::new();
-        let mut probe_scratch = PatchScratch::new();
+        let mut cache = EvalCache::new();
+        encoded_size_rebuild(sliced, parent, force, &mut cache);
         for start in 0..=parent.len() - width {
-            let mut cache = EvalCache::new();
-            encoded_size_rebuild(sliced, parent, force, &mut cache);
             let mut child = parent.to_vec();
             for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
                 *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
             }
-            let edit = start..start + width;
-            let expect = encoded_size_scratch(sliced, &child, force, &mut scratch);
-            let expect_trans = scratch.last_scan_transitions();
-            let expect_used = scratch.last_used_mvs();
-            let ungated = encoded_size_incremental(sliced, &child, force, &edit, false, &mut cache);
-            assert_eq!(
-                ungated,
-                IncrementalOutcome::Size(expect),
-                "ungated probe start {start} width {width}"
-            );
-            assert_eq!(
-                cache.scratch.last_scan_transitions(),
-                expect_trans,
-                "probe transitions start {start} width {width}"
-            );
-            assert_eq!(
-                cache.scratch.last_used_mvs(),
-                expect_used,
-                "probe used start {start} width {width}"
-            );
-            // The gated shared probe answers the same, or `NeedsFull` —
-            // never for a window inside one chunk.
-            let k = sliced.block_len();
-            match encoded_size_probe(sliced, &child, force, &edit, &cache, &mut probe_scratch) {
-                IncrementalOutcome::Size(got) => {
-                    assert_eq!(got, expect, "shared probe start {start} width {width}");
-                    assert_eq!(probe_scratch.last_scan_transitions(), expect_trans);
-                    assert_eq!(probe_scratch.last_used_mvs(), expect_used);
-                }
-                IncrementalOutcome::NeedsFull => assert_ne!(
-                    start / k,
-                    (start + width - 1) / k,
-                    "gated a one-chunk window at {start} width {width}"
-                ),
-            }
-            for commit in [false, true] {
-                let got =
-                    encoded_size_incremental(sliced, &child, force, &edit, commit, &mut cache);
-                assert_eq!(
-                    got,
-                    IncrementalOutcome::Size(expect),
-                    "start {start} width {width} commit {commit}"
-                );
-            }
-            assert_eq!(cache.encoded_size(), expect);
-            assert_eq!(
-                cache.scan_transitions(),
-                expect_trans,
-                "committed transitions start {start} width {width}"
-            );
-            assert_eq!(cache.used_mvs(), expect_used);
+            check_child(sliced, &cache, &child, force, &(start..start + width));
         }
     }
 
@@ -1694,65 +1511,15 @@ mod tests {
             genes("110U00UU 00000000 11010011 UUUUUUUU"),
             genes("110U00UU 110U00UU 110U00UU UUUUUUUU"), // duplicate MVs
         ] {
-            for width in [7, 12, 19, parent.len()] {
+            for width in [1, 7, 9, 12, 17, 19, parent.len()] {
                 exhaustive_window_edits(&sliced, &parent, width, false);
                 exhaustive_window_edits(&sliced, &parent, width, true);
             }
         }
     }
 
-    /// The cost gate is allowed to answer `NeedsFull`, but whenever it
-    /// answers `Size` the value must be the full kernel's — over every
-    /// window edit of several widths, including whole-genome rewrites.
-    #[test]
-    fn bounded_probe_sizes_match_full_kernel() {
-        let sliced = fixtures(
-            &["110100XX", "110000XX", "11010000", "110X00XX", "11010011"],
-            8,
-        );
-        let mut scratch = EvalScratch::new();
-        let mut probe_scratch = PatchScratch::new();
-        for parent in [
-            genes("110U00UU 00000000 11010011 UUUUUUUU"),
-            genes("110U00UU 110U00UU 110U00UU UUUUUUUU"),
-        ] {
-            for force in [false, true] {
-                let mut cache = EvalCache::new();
-                encoded_size_rebuild(&sliced, &parent, force, &mut cache);
-                for width in [1, 9, 17, parent.len()] {
-                    for start in 0..=parent.len() - width {
-                        let mut child = parent.clone();
-                        for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
-                            *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
-                        }
-                        let edit = start..start + width;
-                        let expect = encoded_size_scratch(&sliced, &child, force, &mut scratch);
-                        match encoded_size_probe(
-                            &sliced,
-                            &child,
-                            force,
-                            &edit,
-                            &cache,
-                            &mut probe_scratch,
-                        ) {
-                            IncrementalOutcome::Size(got) => {
-                                assert_eq!(got, expect, "start {start} width {width} force {force}")
-                            }
-                            IncrementalOutcome::NeedsFull => {
-                                // Legal: the gate judged the patch more
-                                // expensive than a rescan. Only possible on
-                                // multi-chunk edits.
-                                assert!(width > 1, "single-chunk edits are never gated");
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Empty and single-chunk edits bypass the gate entirely: bit-identical
-    /// behavior to the ungated probe, `Size` always.
+    /// behavior to the ungated price, `Size` always.
     #[test]
     fn bounded_probe_never_gates_cheap_edits() {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
@@ -1771,23 +1538,12 @@ mod tests {
             let mut child = parent.clone();
             child[pos] = Trit::from_index(((pos + 1) % 3) as u8);
             let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let bounded = encoded_size_probe(
-                &sliced,
-                &child,
-                false,
-                &(pos..pos + 1),
-                &cache,
-                &mut probe_scratch,
-            );
+            let edit = pos..pos + 1;
+            let bounded =
+                encoded_size_probe(&sliced, &child, false, &edit, &cache, &mut probe_scratch);
             assert_eq!(bounded, IncrementalOutcome::Size(expect), "pos {pos}");
-            let plain = encoded_size_incremental(
-                &sliced,
-                &child,
-                false,
-                &(pos..pos + 1),
-                false,
-                &mut cache,
-            );
+            let plain =
+                encoded_size_incremental(&sliced, &child, false, &edit, &cache, &mut probe_scratch);
             assert_eq!(bounded, plain, "pos {pos}");
         }
     }
@@ -1818,19 +1574,12 @@ mod tests {
             encoded_size_rebuild(&sliced, &parent, false, &mut cache),
             None
         );
-        let mut child = parent.clone();
-        child[4] = Trit::X;
-        child[5] = Trit::X;
-        child[6] = Trit::X;
-        child[7] = Trit::X;
         // A 4-gene edit inside one chunk: still a single-MV patch.
-        let got = encoded_size_incremental(&sliced, &child, false, &(4..8), true, &mut cache);
-        let expect = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
-        assert!(expect.is_some());
-        assert_eq!(got, IncrementalOutcome::Size(expect));
-        // ...and back to infeasible.
-        let got = encoded_size_incremental(&sliced, &parent, false, &(4..8), true, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(None));
+        let child = genes("1111 UUUU");
+        assert!(check_child(&sliced, &cache, &child, false, &(4..8)).is_some());
+        // ...and back to infeasible, priced against the child.
+        encoded_size_rebuild(&sliced, &child, false, &mut cache);
+        assert_eq!(check_child(&sliced, &cache, &parent, false, &(4..8)), None);
     }
 
     #[test]
@@ -1845,13 +1594,20 @@ mod tests {
             None
         );
         let child = genes("1111 UUUU 110U");
+        let mut scratch = PatchScratch::new();
+        assert!(check_child(&sliced, &cache, &child, false, &(4..12)).is_some());
+        // The ungated price reaches the multi-chunk patch.
         let expect = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
-        assert!(expect.is_some());
-        let got = encoded_size_incremental(&sliced, &child, false, &(4..12), true, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(expect));
+        assert_eq!(
+            encoded_size_incremental(&sliced, &child, false, &(4..12), &cache, &mut scratch),
+            IncrementalOutcome::Size(expect)
+        );
         // ...and back to infeasible through the same multi-chunk path.
-        let got = encoded_size_incremental(&sliced, &parent, false, &(4..12), true, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(None));
+        encoded_size_rebuild(&sliced, &child, false, &mut cache);
+        assert_eq!(
+            encoded_size_incremental(&sliced, &parent, false, &(4..12), &cache, &mut scratch),
+            IncrementalOutcome::Size(None)
+        );
     }
 
     #[test]
@@ -1861,39 +1617,28 @@ mod tests {
         let mut cache = EvalCache::new();
         let parent_size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
         let mut scratch = EvalScratch::new();
-        // Probe many children off the same cache; each must match the full
+        let mut patch = PatchScratch::new();
+        // Price many children off the same cache; each must match the full
         // kernel, and the parent must still price correctly afterwards.
         for pos in 0..parent.len() {
             let mut child = parent.clone();
             child[pos] = Trit::from_index((pos % 3) as u8);
             let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let got = encoded_size_incremental(
-                &sliced,
-                &child,
-                false,
-                &(pos..pos + 1),
-                false,
-                &mut cache,
-            );
+            let edit = pos..pos + 1;
+            let got = encoded_size_incremental(&sliced, &child, false, &edit, &cache, &mut patch);
             assert_eq!(got, IncrementalOutcome::Size(expect), "pos {pos}");
         }
-        // Multi-chunk probes are equally read-only.
+        // Multi-chunk prices reuse the same scratch.
         for start in 0..parent.len() - 10 {
             let mut child = parent.clone();
             child[start..start + 10].reverse();
             let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let got = encoded_size_incremental(
-                &sliced,
-                &child,
-                false,
-                &(start..start + 10),
-                false,
-                &mut cache,
-            );
+            let edit = start..start + 10;
+            let got = encoded_size_incremental(&sliced, &child, false, &edit, &cache, &mut patch);
             assert_eq!(got, IncrementalOutcome::Size(expect), "window at {start}");
         }
         assert_eq!(cache.encoded_size(), parent_size);
-        let again = encoded_size_incremental(&sliced, &parent, false, &(0..0), false, &mut cache);
+        let again = encoded_size_incremental(&sliced, &parent, false, &(0..0), &cache, &mut patch);
         assert_eq!(again, IncrementalOutcome::Size(parent_size));
     }
 
@@ -1902,31 +1647,25 @@ mod tests {
         let sliced = fixtures(&["1010", "0101"], 4);
         let g = genes("1010 UUUU");
         let mut cache = EvalCache::new();
+        let mut scratch = PatchScratch::new();
         assert_eq!(
-            encoded_size_incremental(&sliced, &g, false, &(0..1), false, &mut cache),
+            encoded_size_incremental(&sliced, &g, false, &(0..1), &cache, &mut scratch),
             IncrementalOutcome::NeedsFull
         );
         assert_eq!(
-            encoded_size_probe(
-                &sliced,
-                &g,
-                false,
-                &(0..1),
-                &cache,
-                &mut PatchScratch::new()
-            ),
+            encoded_size_probe(&sliced, &g, false, &(0..1), &cache, &mut scratch),
             IncrementalOutcome::NeedsFull
         );
         encoded_size_rebuild(&sliced, &g, false, &mut cache);
         // Different genome length.
         let longer = genes("1010 UUUU 1111");
         assert_eq!(
-            encoded_size_incremental(&sliced, &longer, false, &(8..9), false, &mut cache),
+            encoded_size_incremental(&sliced, &longer, false, &(8..9), &cache, &mut scratch),
             IncrementalOutcome::NeedsFull
         );
         // Different force flag.
         assert_eq!(
-            encoded_size_incremental(&sliced, &g, true, &(0..1), false, &mut cache),
+            encoded_size_incremental(&sliced, &g, true, &(0..1), &cache, &mut scratch),
             IncrementalOutcome::NeedsFull
         );
         // An edit spanning two changed chunks is *not* a fallback anymore:
@@ -1936,9 +1675,53 @@ mod tests {
         two[4] = Trit::One;
         let expect = encoded_size_scratch(&sliced, &two, false, &mut EvalScratch::new());
         assert_eq!(
-            encoded_size_incremental(&sliced, &two, false, &(3..5), false, &mut cache),
+            encoded_size_incremental(&sliced, &two, false, &(3..5), &cache, &mut scratch),
             IncrementalOutcome::Size(expect)
         );
+    }
+
+    /// A cache remembers which histogram it was rebuilt against: pricing
+    /// against another histogram of identical dimensions (same `K`,
+    /// distinct-block count and word width) needs the full kernel, in
+    /// release builds too, instead of patching a covering of the wrong
+    /// blocks.
+    #[test]
+    fn another_histogram_of_equal_shape_needs_full() {
+        let a = fixtures(&["1111", "0000"], 4);
+        let b = fixtures(&["1010", "0101"], 4);
+        assert_eq!(
+            (a.block_len(), a.num_distinct(), a.words_per_column()),
+            (b.block_len(), b.num_distinct(), b.words_per_column())
+        );
+        let parent = genes("1111 UUUU");
+        let mut cache = EvalCache::new();
+        encoded_size_rebuild(&a, &parent, false, &mut cache);
+        // Over `b` this child covers nothing, but patching the covering of
+        // `a` with the conflict planes of `b` prices it as feasible.
+        let mut child = parent.clone();
+        child[4] = Trit::One;
+        check_child(&a, &cache, &child, false, &(4..5));
+        assert_eq!(
+            encoded_size_scratch(&b, &child, false, &mut EvalScratch::new()),
+            None
+        );
+        let mut scratch = PatchScratch::new();
+        for edit in [0..0, 4..5, 0..8] {
+            let genome = if edit.is_empty() { &parent } else { &child };
+            assert_eq!(
+                encoded_size_incremental(&b, genome, false, &edit, &cache, &mut scratch),
+                IncrementalOutcome::NeedsFull,
+                "ungated {edit:?}"
+            );
+            assert_eq!(
+                encoded_size_probe(&b, genome, false, &edit, &cache, &mut scratch),
+                IncrementalOutcome::NeedsFull,
+                "gated {edit:?}"
+            );
+        }
+        // Rebuilt against `b`, the same cache prices `b` correctly.
+        encoded_size_rebuild(&b, &parent, false, &mut cache);
+        assert_eq!(check_child(&b, &cache, &child, false, &(4..5)), None);
     }
 
     #[test]
@@ -1949,7 +1732,8 @@ mod tests {
         let size = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         let mut child = parent.clone();
         child[12] = Trit::One; // inside the forced all-U chunk
-        let got = encoded_size_incremental(&sliced, &child, true, &(12..13), false, &mut cache);
+        let mut scratch = PatchScratch::new();
+        let got = encoded_size_incremental(&sliced, &child, true, &(12..13), &cache, &mut scratch);
         assert_eq!(got, IncrementalOutcome::Size(size));
     }
 

@@ -154,7 +154,7 @@ pub fn test_set_content_hash(set: &evotc_bits::TestSet) -> u64 {
 }
 
 /// A bounded, sharded, content-keyed store of parent [`EvalCache`]s shared
-/// by every fitness worker thread. See the [module docs](self).
+/// by every fitness worker thread. See the `shared_cache` module docs.
 #[derive(Debug)]
 pub struct SharedParentCache {
     shards: Box<[RwLock<Vec<Arc<ParentEntry>>>]>,
@@ -209,7 +209,7 @@ impl SharedParentCache {
     }
 
     /// Advances the generation stamp. The evaluator calls this once per
-    /// lineage batch, so eviction ranks parents by the last *generation*
+    /// batch call, so eviction ranks parents by the last *generation*
     /// that bred from them rather than by raw lookup order.
     pub fn bump_generation(&self) {
         self.stamp.fetch_add(1, Ordering::Relaxed);
@@ -296,7 +296,7 @@ impl SharedParentCache {
     }
 
     /// Snapshot of the cumulative counters (approximate under concurrent
-    /// evaluation; see the [module docs](self)).
+    /// evaluation; see the `shared_cache` module docs).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),

@@ -104,7 +104,7 @@ impl ReconfigurableDecoder {
     ///
     /// # Errors
     ///
-    /// Returns [`LoadError`] if the tables exceed the device capacity or
+    /// Returns a `LoadError` if the tables exceed the device capacity or
     /// are inconsistent.
     pub fn load(&mut self, mvs: MvSet, code: PrefixCode) -> Result<(), LoadError> {
         if code.len() != mvs.len() {

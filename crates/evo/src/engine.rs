@@ -719,12 +719,34 @@ fn island_seed(seed: u64, island: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Whether a run has to collect objective vectors from the evaluator:
-/// selection ranks on them, or the Pareto archive records them. Scalar runs
-/// skip the objective path entirely, which is what keeps their trajectories
-/// byte-identical to the pre-multi-objective engine.
-fn needs_objectives(config: &EaConfig) -> bool {
-    config.ranking == Ranking::Lexicographic || config.pareto_capacity > 0
+/// The engine's one evaluation call, shared by the initial population
+/// (all-`None` lineage) and every generation's children. Runs that neither
+/// rank on objective vectors nor archive them (scalar runs) replace the
+/// evaluator's vectors with [`Objectives::from_fitness`] of each score, so
+/// their trajectories and checkpoints depend on the scalar fitness alone.
+#[allow(clippy::too_many_arguments)]
+fn evaluate<G, F>(
+    config: &EaConfig,
+    fitness: &F,
+    genomes: &[Vec<G>],
+    lineage: &[Option<Lineage>],
+    parents: &[&[G]],
+    threads: usize,
+    scores: &mut Vec<f64>,
+    objectives: &mut Vec<Objectives>,
+) where
+    G: Sync,
+    F: FitnessEval<G> + Sync,
+{
+    parallel::evaluate_into(
+        fitness, genomes, lineage, parents, threads, scores, objectives,
+    );
+    let needs_objectives = config.ranking == Ranking::Lexicographic || config.pareto_capacity > 0;
+    if !needs_objectives {
+        for (vector, &score) in objectives.iter_mut().zip(scores.iter()) {
+            *vector = Objectives::from_fitness(score);
+        }
+    }
 }
 
 /// Stringifies a `catch_unwind` payload for [`EaError::IslandFailed`].
@@ -940,24 +962,18 @@ where
     while genomes.len() < s {
         genomes.push((0..genome_len).map(|_| sample_gene(&mut rng)).collect());
     }
-    if needs_objectives(config) {
-        let no_lineage: Vec<Option<Lineage>> = vec![None; genomes.len()];
-        parallel::evaluate_objectives_into(
-            fitness,
-            &genomes,
-            &no_lineage,
-            &[],
-            threads,
-            &mut batch.scores,
-            &mut batch.objectives,
-        );
-    } else {
-        parallel::evaluate_into(fitness, &genomes, threads, &mut batch.scores);
-        batch.objectives.clear();
-        batch
-            .objectives
-            .extend(batch.scores.iter().map(|&s| Objectives::from_fitness(s)));
-    }
+    batch.lineages.clear();
+    batch.lineages.resize(genomes.len(), None);
+    evaluate(
+        config,
+        fitness,
+        &genomes,
+        &batch.lineages,
+        &[],
+        threads,
+        &mut batch.scores,
+        &mut batch.objectives,
+    );
     let mut population: Vec<Individual<G>> = genomes
         .into_iter()
         .zip(batch.scores.iter().copied())
@@ -1101,28 +1117,16 @@ fn step<G, SampleGene, F>(
     }
     *evaluations += children.len() as u64;
     let parent_genes: Vec<&[G]> = population.iter().map(|i| i.genes.as_slice()).collect();
-    if needs_objectives(config) {
-        parallel::evaluate_objectives_into(
-            fitness,
-            children,
-            lineages,
-            &parent_genes,
-            threads,
-            scores,
-            objectives,
-        );
-    } else {
-        parallel::evaluate_lineage_into(
-            fitness,
-            children,
-            lineages,
-            &parent_genes,
-            threads,
-            scores,
-        );
-        objectives.clear();
-        objectives.extend(scores.iter().map(|&s| Objectives::from_fitness(s)));
-    }
+    evaluate(
+        config,
+        fitness,
+        children,
+        lineages,
+        &parent_genes,
+        threads,
+        scores,
+        objectives,
+    );
     drop(parent_genes);
     if let Some(archive) = archive.as_mut() {
         for ((genes, &score), &obj) in children.iter().zip(scores.iter()).zip(objectives.iter()) {
@@ -1368,22 +1372,44 @@ mod tests {
     #[test]
     fn lineage_names_a_parent_matching_outside_the_edit() {
         // An evaluator that enforces the provenance contract on every child:
-        // the named parent exists and agrees with the child outside the edit
-        // window. Scoring stays one-max, so the run must reproduce the
-        // closure path's trajectory exactly.
-        struct Checking;
+        // the initial population (the first batch, the only one without
+        // parents) carries no lineage; every batch after it carries lineage
+        // on every genome, naming a parent that exists and agrees with the
+        // child outside the edit window. Scoring stays one-max, so the run
+        // must reproduce the closure path's trajectory exactly.
+        struct Checking {
+            bred: std::sync::atomic::AtomicBool,
+        }
         impl FitnessEval<bool> for Checking {
             fn evaluate(&self, genes: &[bool]) -> f64 {
                 genes.iter().filter(|&&g| g).count() as f64
             }
-            fn evaluate_batch_with_lineage(
+            fn evaluate_batch(
                 &self,
                 genomes: &[Vec<bool>],
                 lineage: &[Option<Lineage>],
                 parents: &[&[bool]],
                 out: &mut [f64],
+                objectives: &mut [Objectives],
             ) {
-                for ((genes, lin), slot) in genomes.iter().zip(lineage).zip(out.iter_mut()) {
+                use std::sync::atomic::Ordering::SeqCst;
+                if parents.is_empty() {
+                    assert!(!self.bred.load(SeqCst), "a parentless batch after breeding");
+                    assert!(lineage.iter().all(Option::is_none), "initial lineage");
+                } else {
+                    self.bred.store(true, SeqCst);
+                }
+                for (((genes, lin), slot), vector) in genomes
+                    .iter()
+                    .zip(lineage)
+                    .zip(out.iter_mut())
+                    .zip(objectives)
+                {
+                    *slot = self.evaluate(genes);
+                    *vector = Objectives::from_fitness(*slot);
+                    if parents.is_empty() {
+                        continue;
+                    }
                     let lin = lin.as_ref().expect("engine children always have lineage");
                     let parent = parents[lin.parent_idx];
                     assert_eq!(genes.len(), parent.len(), "child/parent length");
@@ -1399,12 +1425,14 @@ mod tests {
                             assert_eq!(genes[k], donor[k], "child differs from donor inside");
                         }
                     }
-                    *slot = self.evaluate(genes);
                 }
             }
         }
         let config = one_max_config(60, 11);
-        let checked = EaBuilder::new(24, |rng| rng.gen::<bool>(), Checking)
+        let checking = Checking {
+            bred: std::sync::atomic::AtomicBool::new(false),
+        };
+        let checked = EaBuilder::new(24, |rng| rng.gen::<bool>(), checking)
             .config(config.clone())
             .run();
         let plain = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
@@ -1717,7 +1745,7 @@ mod tests {
         fn evaluate(&self, genes: &[bool]) -> f64 {
             genes.iter().filter(|&&g| g).count() as f64
         }
-        fn evaluate_batch_with_objectives(
+        fn evaluate_batch(
             &self,
             genomes: &[Vec<bool>],
             _lineage: &[Option<Lineage>],

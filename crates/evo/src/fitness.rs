@@ -24,13 +24,13 @@ use crate::stats::CacheStats;
 /// genome, diffed at whatever granularity the evaluator patches at).
 ///
 /// Evaluators that can reuse a parent's partial results (see
-/// [`FitnessEval::evaluate_batch_with_lineage`]) use this to make a child's
-/// evaluation proportional to the edit instead of the genome.
+/// [`FitnessEval::evaluate_batch`]) use this to make a child's evaluation
+/// proportional to the edit instead of the genome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lineage {
     /// Index of the primary parent in the `parents` slice handed to
-    /// [`FitnessEval::evaluate_batch_with_lineage`] — the parent the child
-    /// equals outside [`Lineage::edit`].
+    /// [`FitnessEval::evaluate_batch`] — the parent the child equals
+    /// outside [`Lineage::edit`].
     pub parent_idx: usize,
     /// Gene window possibly differing from that parent (`start..end`,
     /// half-open). Empty means the child is an exact copy.
@@ -68,8 +68,8 @@ impl Lineage {
 /// The engine hands whole batches to [`FitnessEval::evaluate_batch`] — the
 /// initial population first, then every generation's children — which makes
 /// the batch the natural unit of parallelism (see [`crate::parallel`]).
-/// Scores are written into a caller-provided slice, so the engine can reuse
-/// one output buffer across generations and an override can keep per-batch
+/// Scores are written into caller-provided slices, so the engine can reuse
+/// its output buffers across generations and an override can keep per-batch
 /// scratch state (buffers, histograms) alive for the whole batch — one
 /// scratch per worker thread, since the parallel evaluator makes exactly one
 /// `evaluate_batch` call per worker chunk.
@@ -88,75 +88,48 @@ impl Lineage {
 /// never need to name it:
 ///
 /// ```
-/// use evotc_evo::FitnessEval;
+/// use evotc_evo::{FitnessEval, Objectives};
 ///
 /// let one_max = |genes: &[bool]| genes.iter().filter(|&&g| g).count() as f64;
 /// assert_eq!(one_max.evaluate(&[true, false, true]), 2.0);
 /// let mut scores = [0.0; 2];
-/// one_max.evaluate_batch(&[vec![true], vec![false]], &mut scores);
+/// let mut objectives = [Objectives::NAN; 2];
+/// one_max.evaluate_batch(
+///     &[vec![true], vec![false]],
+///     &[None, None],
+///     &[],
+///     &mut scores,
+///     &mut objectives,
+/// );
 /// assert_eq!(scores, [1.0, 0.0]);
+/// assert_eq!(objectives[0], Objectives::from_fitness(1.0));
 /// ```
 pub trait FitnessEval<G> {
     /// Scores a single genome.
     fn evaluate(&self, genes: &[G]) -> f64;
 
     /// Scores a batch of genomes, writing the fitness of `genomes[i]` into
-    /// `out[i]`. Callers guarantee `out.len() == genomes.len()`.
+    /// `out[i]` and its minimized objective vector (see [`Objectives`]) into
+    /// `objectives[i]`.
     ///
-    /// The default implementation maps [`FitnessEval::evaluate`] over the
-    /// batch in order. Override it when per-batch work can be amortized
-    /// (reusable scratch buffers, vectorized kernels); the override must
-    /// fill every slot of `out` and must not depend on batch boundaries —
-    /// the parallel evaluator splits batches into arbitrary contiguous
-    /// chunks.
-    fn evaluate_batch(&self, genomes: &[Vec<G>], out: &mut [f64]) {
-        debug_assert_eq!(genomes.len(), out.len(), "scores slice length");
-        for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
-            *slot = self.evaluate(genes);
-        }
-    }
-
-    /// Scores a batch of genomes that carry parent→child provenance:
-    /// `lineage[i]`, when present, names the parent genome in `parents` that
-    /// `genomes[i]` was derived from and the gene window the deriving
-    /// operator may have edited (see [`Lineage`]).
+    /// `lineage[i]`, when present, names the parent genome in `parents`
+    /// that `genomes[i]` was derived from and the gene window the deriving
+    /// operator may have edited (see [`Lineage`]); the engine passes `None`
+    /// for the initial population and `Some` for every bred child. Lineage
+    /// is purely an optimization hint: an override may reuse work done for
+    /// a parent (cached coverings, frequency vectors, …) to score a lightly
+    /// edited child incrementally, but every score must stay
+    /// **bit-identical** to [`FitnessEval::evaluate`] on the same genome.
     ///
-    /// The default implementation ignores the provenance and delegates to
-    /// [`FitnessEval::evaluate_batch`] — lineage is purely an optimization
-    /// hook. Overrides may reuse work done for a parent (cached coverings,
-    /// frequency vectors, …) to score a lightly edited child incrementally,
-    /// but the scores they produce must stay **bit-identical** to what the
-    /// plain batch path returns for the same genomes; lineage must never
-    /// change a result, only the work needed to reach it. Callers guarantee
-    /// `lineage.len() == genomes.len()`, `out.len() == genomes.len()`, and
-    /// that every `parent_idx` is in range of `parents`.
-    fn evaluate_batch_with_lineage(
-        &self,
-        genomes: &[Vec<G>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[G]],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
-        let _ = parents;
-        self.evaluate_batch(genomes, out);
-    }
-
-    /// Scores a batch like [`FitnessEval::evaluate_batch_with_lineage`] and
-    /// additionally writes each genome's minimized objective vector into
-    /// `objectives[i]` (see [`Objectives`]).
-    ///
-    /// The engine calls this instead of the lineage path whenever a run
-    /// needs objective vectors (lexicographic ranking or a Pareto archive).
-    /// The scalar scores written to `out` must be **bit-identical** to what
-    /// [`FitnessEval::evaluate_batch_with_lineage`] returns for the same
-    /// genomes — the objective vector is additional output, never a change
-    /// of the fitness semantics. The default implementation delegates to
-    /// the lineage path and embeds each scalar score via
-    /// [`Objectives::from_fitness`], under which lexicographic ranking
-    /// reproduces descending-fitness ranking exactly. Callers guarantee
-    /// `objectives.len() == genomes.len()`.
-    fn evaluate_batch_with_objectives(
+    /// The default maps [`FitnessEval::evaluate`] over the batch in order
+    /// and embeds each score via [`Objectives::from_fitness`], under which
+    /// lexicographic ranking reproduces descending-fitness ranking exactly.
+    /// An override must fill every slot of both outputs and must not depend
+    /// on batch boundaries — the parallel evaluator splits batches into
+    /// arbitrary contiguous chunks. Callers guarantee that `lineage`, `out`
+    /// and `objectives` are as long as `genomes`, and that every
+    /// `parent_idx` is in range of `parents`.
+    fn evaluate_batch(
         &self,
         genomes: &[Vec<G>],
         lineage: &[Option<Lineage>],
@@ -164,10 +137,11 @@ pub trait FitnessEval<G> {
         out: &mut [f64],
         objectives: &mut [Objectives],
     ) {
-        debug_assert_eq!(genomes.len(), objectives.len(), "objectives slice length");
-        self.evaluate_batch_with_lineage(genomes, lineage, parents, out);
-        for (slot, &score) in objectives.iter_mut().zip(out.iter()) {
-            *slot = Objectives::from_fitness(score);
+        debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
+        let _ = parents;
+        for ((genes, slot), vector) in genomes.iter().zip(out.iter_mut()).zip(objectives) {
+            *slot = self.evaluate(genes);
+            *vector = Objectives::from_fitness(*slot);
         }
     }
 
@@ -207,15 +181,25 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_maps_in_order() {
+    fn default_batch_maps_in_order_and_embeds_the_scalar_score() {
         let genomes = vec![vec![1u8, 2], vec![10], vec![]];
         let mut scores = vec![f64::NAN; genomes.len()];
-        SumLen.evaluate_batch(&genomes, &mut scores);
+        let mut objectives = vec![Objectives::NAN; genomes.len()];
+        SumLen.evaluate_batch(
+            &genomes,
+            &[None, None, None],
+            &[],
+            &mut scores,
+            &mut objectives,
+        );
         assert_eq!(scores, vec![3.0, 10.0, 0.0]);
+        for (&score, vector) in scores.iter().zip(&objectives) {
+            assert_eq!(*vector, Objectives::from_fitness(score));
+        }
     }
 
     #[test]
-    fn default_lineage_hook_ignores_provenance() {
+    fn default_batch_ignores_provenance() {
         let genomes = vec![vec![1u8, 2], vec![1, 3]];
         let parents: Vec<&[u8]> = vec![&[1, 2]];
         let lineage = vec![
@@ -223,28 +207,25 @@ mod tests {
             Some(Lineage::crossover(0, 1..2, 0)),
         ];
         let mut with = vec![f64::NAN; 2];
-        SumLen.evaluate_batch_with_lineage(&genomes, &lineage, &parents, &mut with);
-        let mut without = vec![f64::NAN; 2];
-        SumLen.evaluate_batch(&genomes, &mut without);
-        assert_eq!(with, without);
-    }
-
-    #[test]
-    fn default_objectives_embed_the_scalar_score() {
-        let genomes = vec![vec![1u8, 2], vec![10]];
-        let lineage = vec![None, None];
-        let mut scores = vec![f64::NAN; 2];
-        let mut objectives = vec![Objectives::NAN; 2];
-        SumLen.evaluate_batch_with_objectives(
+        let mut with_objectives = vec![Objectives::NAN; 2];
+        SumLen.evaluate_batch(
             &genomes,
             &lineage,
-            &[],
-            &mut scores,
-            &mut objectives,
+            &parents,
+            &mut with,
+            &mut with_objectives,
         );
-        assert_eq!(scores, vec![3.0, 10.0]);
-        assert_eq!(objectives[0], Objectives::from_fitness(3.0));
-        assert_eq!(objectives[1], Objectives::from_fitness(10.0));
+        let mut without = vec![f64::NAN; 2];
+        let mut without_objectives = vec![Objectives::NAN; 2];
+        SumLen.evaluate_batch(
+            &genomes,
+            &[None, None],
+            &[],
+            &mut without,
+            &mut without_objectives,
+        );
+        assert_eq!(with, without);
+        assert_eq!(with_objectives, without_objectives);
     }
 
     #[test]
@@ -252,7 +233,14 @@ mod tests {
         let f = |genes: &[bool]| genes.len() as f64;
         assert_eq!(f.evaluate(&[true, true]), 2.0);
         let mut scores = [f64::NAN; 2];
-        f.evaluate_batch(&[vec![], vec![false]], &mut scores);
+        let mut objectives = [Objectives::NAN; 2];
+        f.evaluate_batch(
+            &[vec![], vec![false]],
+            &[None, None],
+            &[],
+            &mut scores,
+            &mut objectives,
+        );
         assert_eq!(scores, [0.0, 1.0]);
     }
 }

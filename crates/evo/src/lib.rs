@@ -22,8 +22,11 @@
 //! crossover, point mutation and inversion — are provided in [`operators`],
 //! and the engine draws them with configurable probabilities.
 //!
-//! Fitness is evaluated in batches (the initial population, then each
-//! generation's children), optionally across scoped worker threads — see
+//! Fitness is evaluated in batches through one call,
+//! [`FitnessEval::evaluate_batch`]: the initial population (without
+//! lineage), then each generation's children, each carrying a [`Lineage`]
+//! that names its parent and edit window so an evaluator can price it
+//! incrementally. Batches run across scoped worker threads — see
 //! [`parallel`] and the `threads` knob on [`EaConfig`]. Runs can also be
 //! structured as an island model — per-thread subpopulations with
 //! deterministic ring migration — via [`Topology`]. Thread count never
@@ -31,8 +34,7 @@
 //! either topology.
 //!
 //! Runs can also be multi-objective: an evaluator may report a minimized
-//! [`Objectives`] vector per genome (see
-//! [`FitnessEval::evaluate_batch_with_objectives`]), selection can rank
+//! [`Objectives`] vector per genome from the same batch call, selection can rank
 //! lexicographically on it ([`Ranking::Lexicographic`]), and the engine can
 //! collect the nondominated front of everything it evaluated into a bounded
 //! [`ParetoArchive`], reported on [`EaResult::pareto_front`]
@@ -87,7 +89,7 @@
 //!   [`IslandPanicPolicy::Quarantine`], as a degraded-but-completed run)
 //!   instead of aborting the process or stalling the epoch barrier.
 //! - **Fault injection** — the `failpoints` cargo feature compiles in the
-//!   [`failpoints`] registry, letting tests trigger those failure paths at
+//!   `failpoints` registry, letting tests trigger those failure paths at
 //!   deterministic points of a run.
 
 #![forbid(unsafe_code)]

@@ -66,118 +66,56 @@ pub fn resolve_threads(threads: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Evaluates a batch of genomes on up to `threads` scoped worker threads.
+/// Scores a batch of genomes on up to `threads` scoped worker threads and
+/// returns the scores — a scalar convenience over [`evaluate_into`] for
+/// genomes without lineage.
 ///
 /// The result is identical to a serial `eval.evaluate_batch` call for every
-/// thread count (see the [module docs](self) for the contract). Workers are
-/// spawned per call via [`std::thread::scope`], so the evaluator only needs
-/// to borrow its shared state (`E: Sync`), not own it.
+/// thread count (see the [module docs](self) for the contract).
 pub fn evaluate<G, E>(eval: &E, genomes: &[Vec<G>], threads: usize) -> Vec<f64>
 where
     G: Sync,
     E: FitnessEval<G> + Sync,
 {
-    let mut scores = Vec::new();
-    evaluate_into(eval, genomes, threads, &mut scores);
+    let lineage = vec![None; genomes.len()];
+    let (mut scores, mut objectives) = (Vec::new(), Vec::new());
+    evaluate_into(
+        eval,
+        genomes,
+        &lineage,
+        &[],
+        threads,
+        &mut scores,
+        &mut objectives,
+    );
     scores
 }
 
-/// Like [`evaluate`], but writes the scores into a reusable buffer (cleared
-/// and resized to `genomes.len()`), so a caller evaluating every generation
-/// — the engine — allocates no score vector after the first call.
+/// Scores a batch of genomes through [`FitnessEval::evaluate_batch`] on up
+/// to `threads` scoped worker threads, writing into reusable buffers
+/// (cleared and resized to `genomes.len()`), so a caller evaluating every
+/// generation — the engine — allocates no output vectors after the first
+/// call.
 ///
-/// Slots are prefilled with `NaN` before the evaluator runs; an
-/// [`FitnessEval::evaluate_batch`] override that skips a slot therefore
-/// leaves `NaN` behind, which the engine's selection ranks last — the same
+/// Each worker receives one contiguous chunk of the batch — genomes, their
+/// lineage and both outputs chunked in lockstep, every worker seeing the
+/// full `parents` slice — and exactly one `evaluate_batch` call writing
+/// straight into its disjoint slices. That is what lets a batch override
+/// keep a single scratch state per worker thread, and why no copying or
+/// stitching happens afterwards. Chunking changes only *where* a genome is
+/// scored, never the order of the outputs. Workers are spawned per call via
+/// [`std::thread::scope`], so the evaluator only needs to borrow its shared
+/// state (`E: Sync`), not own it.
+///
+/// Score slots are prefilled with `NaN` and objective slots with
+/// [`Objectives::NAN`]; an override that skips a slot therefore leaves
+/// `NaN` behind, which the engine's selection ranks last — the same
 /// treatment a `NaN`-returning evaluator gets.
 ///
-/// Each worker receives one contiguous chunk of the batch and exactly one
-/// [`FitnessEval::evaluate_batch`] call writing straight into its disjoint
-/// slice of `scores` — which is what lets a batch override keep a single
-/// scratch state per worker thread, and why no copying or stitching happens
-/// afterwards. Chunking changes only *where* a genome is scored, never the
-/// order of the scores.
-pub fn evaluate_into<G, E>(eval: &E, genomes: &[Vec<G>], threads: usize, scores: &mut Vec<f64>)
-where
-    G: Sync,
-    E: FitnessEval<G> + Sync,
-{
-    scores.clear();
-    scores.resize(genomes.len(), f64::NAN);
-    let workers = threads.max(1).min(genomes.len());
-    if workers <= 1 {
-        eval.evaluate_batch(genomes, scores);
-    } else {
-        // Contiguous chunks keep the output order equal to the input order;
-        // the zipped `chunks_mut` hands every worker a disjoint slot to
-        // write into.
-        let chunk = genomes.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (slot, batch) in scores.chunks_mut(chunk).zip(genomes.chunks(chunk)) {
-                scope.spawn(move || eval.evaluate_batch(batch, slot));
-            }
-        });
-    }
-}
-
-/// Like [`evaluate_into`], but forwarding parent→child provenance to
-/// [`FitnessEval::evaluate_batch_with_lineage`] so lineage-aware evaluators
-/// can score lightly edited children incrementally.
-///
-/// `lineage[i]` describes how `genomes[i]` relates to `parents` (see
-/// [`Lineage`]); the lineage slice is chunked in lockstep with the genomes,
-/// while every worker sees the full `parents` slice. The determinism
-/// contract is unchanged: lineage is an optimization hint, never a semantic
-/// input, so results stay bit-identical for every thread count — and to
-/// [`evaluate_into`] itself.
-///
 /// # Panics
 ///
 /// Panics if `lineage.len() != genomes.len()`.
-pub fn evaluate_lineage_into<G, E>(
-    eval: &E,
-    genomes: &[Vec<G>],
-    lineage: &[Option<Lineage>],
-    parents: &[&[G]],
-    threads: usize,
-    scores: &mut Vec<f64>,
-) where
-    G: Sync,
-    E: FitnessEval<G> + Sync,
-{
-    assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
-    scores.clear();
-    scores.resize(genomes.len(), f64::NAN);
-    let workers = threads.max(1).min(genomes.len());
-    if workers <= 1 {
-        eval.evaluate_batch_with_lineage(genomes, lineage, parents, scores);
-    } else {
-        let chunk = genomes.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for ((slot, batch), lin) in scores
-                .chunks_mut(chunk)
-                .zip(genomes.chunks(chunk))
-                .zip(lineage.chunks(chunk))
-            {
-                scope.spawn(move || eval.evaluate_batch_with_lineage(batch, lin, parents, slot));
-            }
-        });
-    }
-}
-
-/// Like [`evaluate_lineage_into`], but also collecting each genome's
-/// objective vector through
-/// [`FitnessEval::evaluate_batch_with_objectives`]. Scores, lineage and
-/// objectives are chunked in lockstep, so every worker writes one
-/// contiguous, disjoint slice of both outputs; score slots prefill with
-/// `NaN` and objective slots with [`Objectives::NAN`]. The determinism
-/// contract is unchanged — scalar scores are bit-identical to
-/// [`evaluate_lineage_into`] for every thread count.
-///
-/// # Panics
-///
-/// Panics if `lineage.len() != genomes.len()`.
-pub fn evaluate_objectives_into<G, E>(
+pub fn evaluate_into<G, E>(
     eval: &E,
     genomes: &[Vec<G>],
     lineage: &[Option<Lineage>],
@@ -196,22 +134,20 @@ pub fn evaluate_objectives_into<G, E>(
     objectives.resize(genomes.len(), Objectives::NAN);
     let workers = threads.max(1).min(genomes.len());
     if workers <= 1 {
-        eval.evaluate_batch_with_objectives(genomes, lineage, parents, scores, objectives);
-    } else {
-        let chunk = genomes.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (((slot, objs), batch), lin) in scores
-                .chunks_mut(chunk)
-                .zip(objectives.chunks_mut(chunk))
-                .zip(genomes.chunks(chunk))
-                .zip(lineage.chunks(chunk))
-            {
-                scope.spawn(move || {
-                    eval.evaluate_batch_with_objectives(batch, lin, parents, slot, objs)
-                });
-            }
-        });
+        eval.evaluate_batch(genomes, lineage, parents, scores, objectives);
+        return;
     }
+    let chunk = genomes.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        for (((slot, objs), batch), lin) in scores
+            .chunks_mut(chunk)
+            .zip(objectives.chunks_mut(chunk))
+            .zip(genomes.chunks(chunk))
+            .zip(lineage.chunks(chunk))
+        {
+            scope.spawn(move || eval.evaluate_batch(batch, lin, parents, slot, objs));
+        }
+    });
 }
 
 #[cfg(test)]
@@ -266,18 +202,37 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_into_reuses_and_resizes_the_buffer() {
-        let mut scores = vec![42.0; 100]; // stale, oversized contents
-        evaluate_into(&one_max, &genomes(5), 2, &mut scores);
+    fn evaluate_into_reuses_and_resizes_the_buffers() {
+        let (mut scores, mut objectives) = (vec![42.0; 100], vec![Objectives::NAN; 100]);
+        let g = genomes(5);
+        evaluate_into(
+            &one_max,
+            &g,
+            &vec![None; 5],
+            &[],
+            2,
+            &mut scores,
+            &mut objectives,
+        );
         assert_eq!(scores.len(), 5);
-        assert_eq!(scores, evaluate(&one_max, &genomes(5), 1));
+        assert_eq!(objectives.len(), 5);
+        assert_eq!(scores, evaluate(&one_max, &g, 1));
         // Growing again after a smaller batch also works.
-        evaluate_into(&one_max, &genomes(9), 3, &mut scores);
+        let g = genomes(9);
+        evaluate_into(
+            &one_max,
+            &g,
+            &vec![None; 9],
+            &[],
+            3,
+            &mut scores,
+            &mut objectives,
+        );
         assert_eq!(scores.len(), 9);
     }
 
     #[test]
-    fn lineage_evaluation_matches_plain_for_every_thread_count() {
+    fn lineage_and_objectives_match_plain_for_every_thread_count() {
         let g = genomes(17);
         let parents = genomes(3);
         let parent_refs: Vec<&[bool]> = parents.iter().map(Vec::as_slice).collect();
@@ -285,26 +240,13 @@ mod tests {
             .map(|i| (i % 3 != 0).then(|| Lineage::new(i % parents.len(), 0..i % 5)))
             .collect();
         let plain = evaluate(&one_max, &g, 1);
-        let mut scores = Vec::new();
+        let (mut scores, mut objectives) = (Vec::new(), Vec::new());
         for threads in [1, 2, 4, 100] {
-            evaluate_lineage_into(&one_max, &g, &lineage, &parent_refs, threads, &mut scores);
-            assert_eq!(scores, plain, "t={threads}");
-        }
-    }
-
-    #[test]
-    fn objective_evaluation_matches_plain_for_every_thread_count() {
-        let g = genomes(13);
-        let lineage: Vec<Option<Lineage>> = vec![None; g.len()];
-        let plain = evaluate(&one_max, &g, 1);
-        let mut scores = Vec::new();
-        let mut objectives = Vec::new();
-        for threads in [1, 2, 4, 100] {
-            evaluate_objectives_into(
+            evaluate_into(
                 &one_max,
                 &g,
                 &lineage,
-                &[],
+                &parent_refs,
                 threads,
                 &mut scores,
                 &mut objectives,
@@ -319,8 +261,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "lineage slice length")]
     fn lineage_length_mismatch_is_rejected() {
-        let mut scores = Vec::new();
-        evaluate_lineage_into(&one_max, &genomes(2), &[], &[], 1, &mut scores);
+        let (mut scores, mut objectives) = (Vec::new(), Vec::new());
+        evaluate_into(
+            &one_max,
+            &genomes(2),
+            &[],
+            &[],
+            1,
+            &mut scores,
+            &mut objectives,
+        );
     }
 
     #[test]
@@ -332,7 +282,14 @@ mod tests {
             fn evaluate(&self, _: &[bool]) -> f64 {
                 1.0
             }
-            fn evaluate_batch(&self, genomes: &[Vec<bool>], out: &mut [f64]) {
+            fn evaluate_batch(
+                &self,
+                genomes: &[Vec<bool>],
+                _: &[Option<Lineage>],
+                _: &[&[bool]],
+                out: &mut [f64],
+                _: &mut [Objectives],
+            ) {
                 for slot in out.iter_mut() {
                     *slot = genomes.len() as f64;
                 }

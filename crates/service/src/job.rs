@@ -86,7 +86,7 @@ pub struct JobSpec {
     pub max_generations: u64,
     /// Per-attempt wall-clock budget, wired to the engine's soft deadline.
     /// A budget-stopped attempt fails permanently with
-    /// [`JobError::DeadlineExceeded`] (see the [module docs](self)).
+    /// [`JobError::DeadlineExceeded`] (see the `job` module docs).
     pub budget: Option<Duration>,
     /// Whether overload shedding may preempt this job (checkpoint now,
     /// resume later, byte-identically). Non-preemptible jobs are never

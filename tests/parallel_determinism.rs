@@ -9,7 +9,7 @@
 
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};
 use evotc::core::{EaCompressor, MvFitness};
-use evotc::evo::{parallel, EaBuilder, EaConfig, EaResult, FitnessEval};
+use evotc::evo::{parallel, EaBuilder, EaConfig, EaResult, FitnessEval, Lineage, Objectives};
 use evotc::workloads::synth::{generate, SyntheticSpec};
 use rand::Rng;
 
@@ -116,20 +116,26 @@ fn compressor_results_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn lineage_cache_never_changes_the_ea_trajectory() {
-    // `MvFitness` wrapped so the lineage hook falls back to the plain batch
-    // path: running the engine with and without incremental evaluation must
-    // produce byte-identical results, at every thread count. The cache is a
-    // work-saving device, never a semantic one.
+    // `MvFitness` wrapped so every genome reaches it without lineage and
+    // takes the full kernel: running the engine with and without
+    // incremental evaluation must produce byte-identical results, at every
+    // thread count. The cache is a work-saving device, never a semantic one.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
         fn evaluate(&self, genes: &[Trit]) -> f64 {
             self.0.evaluate(genes)
         }
-        fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
-            self.0.evaluate_batch(genomes, out);
+        fn evaluate_batch(
+            &self,
+            genomes: &[Vec<Trit>],
+            _: &[Option<Lineage>],
+            _: &[&[Trit]],
+            out: &mut [f64],
+            objectives: &mut [Objectives],
+        ) {
+            let none = vec![None; genomes.len()];
+            self.0.evaluate_batch(genomes, &none, &[], out, objectives);
         }
-        // No `evaluate_batch_with_lineage` override: the trait default
-        // ignores provenance and delegates to `evaluate_batch`.
     }
 
     let set = workload();

@@ -38,7 +38,7 @@ impl FitnessEval<bool> for TwoObjective {
     fn evaluate(&self, genes: &[bool]) -> f64 {
         genes.iter().filter(|&&g| g).count() as f64
     }
-    fn evaluate_batch_with_objectives(
+    fn evaluate_batch(
         &self,
         genomes: &[Vec<bool>],
         _lineage: &[Option<Lineage>],

@@ -4,7 +4,7 @@
 
 use evotc::bits::{BlockHistogram, InputBlock, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{encoded_size, Covering, MatchingVector, MvFitness, MvSet};
-use evotc::evo::FitnessEval;
+use evotc::evo::parallel;
 use proptest::prelude::*;
 
 fn arb_trits(len: usize) -> impl Strategy<Value = Vec<Trit>> {
@@ -146,8 +146,7 @@ proptest! {
         let hist = BlockHistogram::from_string(&string);
         let fitness = MvFitness::new(4, false, &hist, string.payload_bits() as f64);
 
-        let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut scores);
+        let scores = parallel::evaluate(&fitness, &genomes, 1);
         let mut feasible: Vec<f64> = Vec::new();
         let mut infeasible: Vec<f64> = Vec::new();
         for (genome, &score) in genomes.iter().zip(&scores) {

@@ -6,7 +6,7 @@
 
 use evotc::bits::{BlockHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{encoded_size, encoded_size_scratch, EvalScratch, MvFitness, MvSet};
-use evotc::evo::FitnessEval;
+use evotc::evo::{parallel, FitnessEval};
 use proptest::prelude::*;
 
 /// The K/L shapes the properties sweep: small and paper-adjacent, odd and
@@ -101,8 +101,7 @@ proptest! {
         // Not an assertion — but the shape is chosen so both classes occur
         // across the run; the check below keeps the batch path honest.
         let _ = saw_infeasible;
-        let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut scores);
+        let scores = parallel::evaluate(&fitness, &genomes, 1);
         for (g, &s) in genomes.iter().zip(&scores) {
             prop_assert_eq!(s.to_bits(), fitness.evaluate(g).to_bits());
         }

@@ -1,21 +1,22 @@
 //! Property tests pinning the incremental fitness path to the full kernel:
 //! an arbitrary chain of edits — single-gene mutations, multi-chunk
 //! inversion windows straddling chunk boundaries, crossover children priced
-//! against either parent's cache — evaluated incrementally against the
-//! [`EvalCache`], must produce the **bit-identical** encoded size / fitness
-//! that `encoded_size_scratch` computes from scratch at every step —
-//! including edits that flip feasibility (covering becomes/ceases to be
-//! possible) and edits that create or remove duplicate MVs. The ungated
-//! read-only price (`encoded_size_incremental` with `commit = false`), the
-//! cost-gated shared probe ([`encoded_size_probe`]) and the concurrent
-//! shared-cache path of `MvFitness` are pinned to the same oracle.
+//! against either parent's cache — where each step rebuilds an
+//! [`EvalCache`] at its parent and prices the child read-only, must produce
+//! the **bit-identical** encoded size / fitness that `encoded_size_scratch`
+//! computes from scratch at every step — including edits that flip
+//! feasibility (covering becomes/ceases to be possible) and edits that
+//! create or remove duplicate MVs. The ungated price
+//! (`encoded_size_incremental`), the cost-gated probe
+//! ([`encoded_size_probe`]) and the concurrent shared-cache batch path of
+//! `MvFitness` are pinned to the same oracle.
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
     encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
     EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
 };
-use evotc::evo::{parallel, FitnessEval, Lineage};
+use evotc::evo::{parallel, FitnessEval, Lineage, Objectives};
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -69,9 +70,11 @@ fn check_gated(
     }
 }
 
-/// Runs one chain through the committing incremental path and checks every
-/// step against the full kernel. Returns how many steps were feasible /
-/// infeasible so callers can sanity-check coverage.
+/// Runs one chain, checking every step against the full kernel: the cache
+/// is rebuilt at the step's parent, and the child is priced through both
+/// the ungated price and the gated probe (which never declines a
+/// single-gene edit), side-channel objectives included. Returns how many
+/// steps were feasible / infeasible so callers can sanity-check coverage.
 fn check_chain(
     sliced: &SlicedHistogram,
     genome: &mut [Trit],
@@ -80,30 +83,38 @@ fn check_chain(
 ) -> (usize, usize) {
     let mut cache = EvalCache::new();
     let mut scratch = EvalScratch::new();
-    let built = encoded_size_rebuild(sliced, genome, force_all_u, &mut cache);
-    assert_eq!(
-        built,
-        encoded_size_scratch(sliced, genome, force_all_u, &mut scratch),
-        "rebuild diverged on the chain's start genome"
-    );
+    let mut patch = PatchScratch::new();
     let (mut feasible, mut infeasible) = (0, 0);
     for &(pos, gene) in chain {
+        let built = encoded_size_rebuild(sliced, genome, force_all_u, &mut cache);
+        assert_eq!(
+            built,
+            encoded_size_scratch(sliced, genome, force_all_u, &mut scratch),
+            "rebuild diverged on the parent of the step at {pos}"
+        );
         genome[pos] = gene;
-        let incremental = match encoded_size_incremental(
-            sliced,
-            genome,
-            force_all_u,
-            &(pos..pos + 1),
-            true,
-            &mut cache,
-        ) {
-            IncrementalOutcome::Size(size) => size,
-            IncrementalOutcome::NeedsFull => {
-                panic!("single-gene edit at {pos} unexpectedly needs the full kernel")
-            }
-        };
         let full = encoded_size_scratch(sliced, genome, force_all_u, &mut scratch);
-        assert_eq!(incremental, full, "chain step at {pos} -> {gene:?}");
+        let objectives = (scratch.last_scan_transitions(), scratch.last_used_mvs());
+        let edit = pos..pos + 1;
+        for gated in [false, true] {
+            let price = if gated {
+                encoded_size_probe(sliced, genome, force_all_u, &edit, &cache, &mut patch)
+            } else {
+                encoded_size_incremental(sliced, genome, force_all_u, &edit, &cache, &mut patch)
+            };
+            assert_eq!(
+                price,
+                IncrementalOutcome::Size(full),
+                "chain step at {pos} -> {gene:?} (gated: {gated})"
+            );
+            if full.is_some() {
+                assert_eq!(
+                    (patch.last_scan_transitions(), patch.last_used_mvs()),
+                    objectives,
+                    "objectives at {pos} -> {gene:?} (gated: {gated})"
+                );
+            }
+        }
         match full {
             Some(_) => feasible += 1,
             None => infeasible += 1,
@@ -112,11 +123,30 @@ fn check_chain(
     (feasible, infeasible)
 }
 
+/// Scores `genomes` through `MvFitness`'s one batch call, returning the
+/// scores and objective vectors.
+fn batch(
+    fitness: &MvFitness<'_>,
+    genomes: &[Vec<Trit>],
+    lineage: &[Option<Lineage>],
+    parents: &[&[Trit]],
+) -> (Vec<f64>, Vec<Objectives>) {
+    let mut scores = vec![f64::NAN; genomes.len()];
+    let mut objectives = vec![Objectives::NAN; genomes.len()];
+    fitness.evaluate_batch(genomes, lineage, parents, &mut scores, &mut objectives);
+    (scores, objectives)
+}
+
+/// The same genomes without lineage: every one takes the full kernel.
+fn plain_batch(fitness: &MvFitness<'_>, genomes: &[Vec<Trit>]) -> (Vec<f64>, Vec<Objectives>) {
+    batch(fitness, genomes, &vec![None; genomes.len()], &[])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Mutation chains over X-rich rows for paper-adjacent shapes, with and
-    /// without the forced all-`U` vector, committing each step.
+    /// without the forced all-`U` vector.
     #[test]
     fn mutation_chains_match_full_kernel(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -167,8 +197,8 @@ proptest! {
 
     /// The read-only probe path: many children priced against one parent
     /// cache must match the full kernel, and the cache must still price the
-    /// parent afterwards. This is exactly how the engine's
-    /// `evaluate_batch_with_lineage` uses the cache.
+    /// parent afterwards. This is exactly how `MvFitness`'s batch call uses
+    /// the cache.
     #[test]
     fn sibling_probes_match_full_kernel_and_preserve_the_parent(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -179,24 +209,27 @@ proptest! {
         let sliced = SlicedHistogram::from_histogram(&hist);
         let mut cache = EvalCache::new();
         let mut scratch = EvalScratch::new();
+        let mut patch = PatchScratch::new();
         let parent_size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
         for &(pos, gene) in &edits {
             let mut child = parent.clone();
             child[pos] = gene;
-            let probe = encoded_size_incremental(&sliced, &child, false, &(pos..pos + 1), false, &mut cache);
+            let edit = pos..pos + 1;
+            let probe = encoded_size_incremental(&sliced, &child, false, &edit, &cache, &mut patch);
             let full = encoded_size_scratch(&sliced, &child, false, &mut scratch);
             prop_assert_eq!(probe, IncrementalOutcome::Size(full));
         }
         // The probes left the cache on the parent.
         prop_assert_eq!(cache.encoded_size(), parent_size);
         let parent_again =
-            encoded_size_incremental(&sliced, &parent, false, &(0..0), false, &mut cache);
+            encoded_size_incremental(&sliced, &parent, false, &(0..0), &cache, &mut patch);
         prop_assert_eq!(parent_again, IncrementalOutcome::Size(parent_size));
     }
 
-    /// `MvFitness` end to end: the lineage batch path must score children
-    /// bit-identically to the plain batch path, whatever mix of provenance
-    /// (true single-gene edits, exact copies, missing lineage) it is handed.
+    /// `MvFitness` end to end: the batch call must score children
+    /// bit-identically with and without lineage, objective vectors
+    /// included, whatever mix of provenance (true single-gene edits, exact
+    /// copies, missing lineage) it is handed.
     #[test]
     fn mv_fitness_lineage_batch_matches_plain_batch(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -224,19 +257,18 @@ proptest! {
             }
             genomes.push(child);
         }
-        let mut with = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch_with_lineage(&genomes, &lineage, &parents, &mut with);
-        let mut without = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut without);
+        let (with, with_objectives) = batch(&fitness, &genomes, &lineage, &parents);
+        let (without, without_objectives) = plain_batch(&fitness, &genomes);
         for (i, (a, b)) in with.iter().zip(&without).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {}", i);
         }
+        prop_assert_eq!(with_objectives, without_objectives);
     }
 
     /// Multi-chunk inversion chains: windows straddling chunk boundaries,
-    /// committed step by step, must price bit-identically to the full
-    /// kernel — the ungated read-only price must agree at every step, and
-    /// the gated shared probe must agree or decline.
+    /// each step priced against a cache rebuilt at its parent, must price
+    /// bit-identically to the full kernel — the ungated read-only price
+    /// must agree at every step, and the gated probe must agree or decline.
     #[test]
     fn inversion_chains_straddling_chunks_match_full_kernel(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -251,25 +283,21 @@ proptest! {
                 let mut cache = EvalCache::new();
                 let mut scratch = EvalScratch::new();
                 let mut probe_scratch = PatchScratch::new();
-                encoded_size_rebuild(&sliced, &genome, force, &mut cache);
                 for &(at, span) in &windows {
+                    encoded_size_rebuild(&sliced, &genome, force, &mut cache);
                     let lo = at.min(genome.len() - 1);
                     let hi = (lo + span).min(genome.len());
                     genome[lo..hi].reverse();
                     let edit = lo..hi;
                     let expect = encoded_size_scratch(&sliced, &genome, force, &mut scratch);
                     let probe = encoded_size_incremental(
-                        &sliced, &genome, force, &edit, false, &mut cache,
+                        &sliced, &genome, force, &edit, &cache, &mut probe_scratch,
                     );
                     prop_assert_eq!(probe, IncrementalOutcome::Size(expect), "probe {:?}", &edit);
                     let gated = encoded_size_probe(
                         &sliced, &genome, force, &edit, &cache, &mut probe_scratch,
                     );
                     check_gated(gated, probe, &edit, k);
-                    let commit = encoded_size_incremental(
-                        &sliced, &genome, force, &edit, true, &mut cache,
-                    );
-                    prop_assert_eq!(commit, IncrementalOutcome::Size(expect), "commit {:?}", &edit);
                 }
             }
         }
@@ -279,8 +307,8 @@ proptest! {
     /// outside parent through the swapped window, and against the
     /// window-content donor through a whole-genome diff — both must match
     /// the full kernel (the gated probe may decline instead), and
-    /// `MvFitness`'s lineage batch (which picks whichever parent is cached)
-    /// must match the plain batch.
+    /// `MvFitness`'s batch call with lineage (which picks whichever parent
+    /// is cached) must match it without lineage.
     #[test]
     fn crossover_children_priced_by_parent_diff_match_plain_batch(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -306,7 +334,7 @@ proptest! {
             let expect = encoded_size_scratch(&sliced, &child, true, &mut scratch);
             // Outside parent: the swapped window is the edit.
             let via_a = encoded_size_incremental(
-                &sliced, &child, true, &(lo..hi), false, &mut cache_a,
+                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch,
             );
             prop_assert_eq!(via_a, IncrementalOutcome::Size(expect), "via parent A {}..{}", lo, hi);
             let gated_a = encoded_size_probe(
@@ -316,7 +344,9 @@ proptest! {
             // Donor parent: the edit is conservatively the whole genome;
             // the probe diffs it chunk-wise.
             let whole = 0..child.len();
-            let via_b = encoded_size_incremental(&sliced, &child, true, &whole, false, &mut cache_b);
+            let via_b = encoded_size_incremental(
+                &sliced, &child, true, &whole, &cache_b, &mut probe_scratch,
+            );
             prop_assert_eq!(via_b, IncrementalOutcome::Size(expect), "via parent B {}..{}", lo, hi);
             let gated_b = encoded_size_probe(
                 &sliced, &child, true, &whole, &cache_b, &mut probe_scratch,
@@ -327,13 +357,12 @@ proptest! {
         }
         let fitness = MvFitness::new(6, true, &hist, bits);
         let parents: Vec<&[Trit]> = vec![&parent_a, &parent_b];
-        let mut with = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch_with_lineage(&genomes, &lineage, &parents, &mut with);
-        let mut without = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut without);
+        let (with, with_objectives) = batch(&fitness, &genomes, &lineage, &parents);
+        let (without, without_objectives) = plain_batch(&fitness, &genomes);
         for (i, (a, b)) in with.iter().zip(&without).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {}", i);
         }
+        prop_assert_eq!(with_objectives, without_objectives);
     }
 
     /// Concurrent probes against the shared parent cache: the same lineage
@@ -372,21 +401,24 @@ proptest! {
             }
             genomes.push(child);
         }
-        let mut plain = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut plain);
-        let mut scores = Vec::new();
+        let (plain, plain_objectives) = plain_batch(&fitness, &genomes);
+        let (mut scores, mut objectives) = (Vec::new(), Vec::new());
         for threads in [1, 4] {
-            parallel::evaluate_lineage_into(
-                &fitness, &genomes, &lineage, &parents, threads, &mut scores,
+            parallel::evaluate_into(
+                &fitness, &genomes, &lineage, &parents, threads, &mut scores, &mut objectives,
             );
             for (i, (a, b)) in scores.iter().zip(&plain).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {} threads {}", i, threads);
             }
+            prop_assert_eq!(&objectives, &plain_objectives, "threads {}", threads);
         }
     }
 
-    /// `MvFitness::evaluate_cached` chains agree with the single-genome
-    /// paths, including the rebuild fallback for unknown provenance.
+    /// `MvFitness` chains agree with the single-genome paths: the start
+    /// genome arrives without lineage (full kernel), and every later step
+    /// is a one-genome batch whose lineage names the previous genome as its
+    /// parent, so the shared cache rebuilds at that parent and probes the
+    /// child.
     #[test]
     fn evaluate_cached_chains_match_evaluate(
         rows in arb_dense_rows(8),
@@ -395,14 +427,17 @@ proptest! {
     ) {
         let (hist, bits) = histogram_for(&rows, 4);
         let fitness = MvFitness::new(4, false, &hist, bits);
-        let mut cache = EvalCache::new();
         let mut genome = start.clone();
-        let cold = fitness.evaluate_cached(&genome, None, &mut cache);
-        prop_assert_eq!(cold.to_bits(), fitness.evaluate(&genome).to_bits());
+        let (cold, _) = plain_batch(&fitness, std::slice::from_ref(&genome));
+        prop_assert_eq!(cold[0].to_bits(), fitness.evaluate(&genome).to_bits());
         for &(pos, gene) in &chain {
+            let parent = genome.clone();
             genome[pos] = gene;
-            let inc = fitness.evaluate_cached(&genome, Some(&(pos..pos + 1)), &mut cache);
-            prop_assert_eq!(inc.to_bits(), fitness.evaluate(&genome).to_bits());
+            let lineage = [Some(Lineage::new(0, pos..pos + 1))];
+            let (inc, _) = batch(&fitness, std::slice::from_ref(&genome), &lineage, &[&parent]);
+            prop_assert_eq!(inc[0].to_bits(), fitness.evaluate(&genome).to_bits());
         }
+        let stats = fitness.cache_stats().expect("MvFitness counts cache events");
+        prop_assert_eq!(stats.hits + stats.misses, chain.len() as u64, "{}", stats);
     }
 }

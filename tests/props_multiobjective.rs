@@ -102,9 +102,10 @@ proptest! {
     /// Satellite 1a: the incrementally re-priced transition count (and
     /// used-MV count) equals the full kernel's recompute for every
     /// mutation, inversion and crossover edit window — via the ungated
-    /// read-only price against a parent cache (its side-channels observed
-    /// by committing a copy of that cache), via the gated shared probe
-    /// whenever it answers, and via the committing chain.
+    /// read-only price against a parent cache and via the gated probe
+    /// whenever it answers, both reporting the child's side-channels in
+    /// their scratch — for children of one parent, and along a chain where
+    /// each step's parent is the previous child.
     #[test]
     fn incremental_transition_repricing_matches_full_recompute(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -118,29 +119,24 @@ proptest! {
             let mut scratch = EvalScratch::new();
             let mut patch = PatchScratch::new();
             let mut cache = EvalCache::new();
-            encoded_size_rebuild(&sliced, &parent, force, &mut cache);
-            // Read-only probes: every child priced against the parent cache.
-            for edit in &edits {
-                let (child, window) = apply_edit(&parent, &donor, edit);
+            // Checks both prices of `child` (an `edit` of the cached genome
+            // through `window`) and their side-channels against the kernel.
+            let mut check = |cache: &EvalCache, child: &[Trit], window: &std::ops::Range<usize>, edit: &Edit| {
                 let (size, transitions, used) =
-                    full_objectives(&sliced, &child, force, &mut scratch);
-                let probe =
-                    encoded_size_incremental(&sliced, &child, force, &window, false, &mut cache);
-                prop_assert_eq!(probe, IncrementalOutcome::Size(size), "{:?}", edit);
-                let mut adopted = cache.clone();
-                let committed =
-                    encoded_size_incremental(&sliced, &child, force, &window, true, &mut adopted);
-                prop_assert_eq!(committed, IncrementalOutcome::Size(size), "{:?}", edit);
+                    full_objectives(&sliced, child, force, &mut scratch);
+                let ungated =
+                    encoded_size_incremental(&sliced, child, force, window, cache, &mut patch);
+                prop_assert_eq!(ungated, IncrementalOutcome::Size(size), "{:?}", edit);
                 if size.is_some() {
                     prop_assert_eq!(
-                        adopted.scan_transitions(), transitions,
+                        patch.last_scan_transitions(), transitions,
                         "transitions after {:?}", edit
                     );
-                    prop_assert_eq!(adopted.used_mvs(), used, "used MVs after {:?}", edit);
+                    prop_assert_eq!(patch.last_used_mvs(), used, "used MVs after {:?}", edit);
                 }
                 // The gated probe answers the same — never `NeedsFull` for
                 // a window inside one chunk — with the same side-channels.
-                let gated = encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch);
+                let gated = encoded_size_probe(&sliced, child, force, window, cache, &mut patch);
                 if gated == IncrementalOutcome::NeedsFull {
                     prop_assert!(
                         !window.is_empty() && window.start / 6 != (window.end - 1) / 6,
@@ -153,26 +149,20 @@ proptest! {
                         prop_assert_eq!(patch.last_used_mvs(), used);
                     }
                 }
+            };
+            // Siblings: every child priced against the one parent cache.
+            encoded_size_rebuild(&sliced, &parent, force, &mut cache);
+            for edit in &edits {
+                let (child, window) = apply_edit(&parent, &donor, edit);
+                check(&cache, &child, &window, edit);
             }
-            // Committing chain: each edit advances the cache, whose
-            // transition count must track the full kernel at every step.
+            // Chain: each step rebuilds at its parent and prices the child.
             let mut genome = parent.clone();
             for edit in &edits {
                 let (child, window) = apply_edit(&genome, &donor, edit);
+                encoded_size_rebuild(&sliced, &genome, force, &mut cache);
+                check(&cache, &child, &window, edit);
                 genome = child;
-                let (size, transitions, used) =
-                    full_objectives(&sliced, &genome, force, &mut scratch);
-                let committed = match evotc::core::encoded_size_incremental(
-                    &sliced, &genome, force, &window, true, &mut cache,
-                ) {
-                    IncrementalOutcome::Size(s) => s,
-                    IncrementalOutcome::NeedsFull => {
-                        encoded_size_rebuild(&sliced, &genome, force, &mut cache)
-                    }
-                };
-                prop_assert_eq!(committed, size, "chain {:?}", edit);
-                prop_assert_eq!(cache.scan_transitions(), transitions, "chain {:?}", edit);
-                prop_assert_eq!(cache.used_mvs(), used, "chain {:?}", edit);
             }
         }
     }
