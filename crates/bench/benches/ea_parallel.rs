@@ -1,13 +1,13 @@
-//! Scaling of the parallel fitness evaluator: the same EA run (identical
-//! seed, identical results — see `tests/parallel_determinism.rs`) at 1, 2,
-//! 4 and 8 threads on a calibrated synthetic workload.
+//! Scaling of the island-model EA: the same island run (identical seed,
+//! identical results — see `tests/island_determinism.rs`) at 1, 2, 4 and 8
+//! threads on a calibrated synthetic workload.
 //!
-//! The EA configuration widens the paper's population (`S = 32`, `C = 64`)
-//! so each generation hands the evaluator a batch worth parallelizing; the
-//! fitness kernel (covering + Huffman over the distinct-block histogram) is
-//! the paper's. On a multicore machine the 4-thread run should come in at
-//! well under the 1-thread wall-clock; eval/s lines make the throughput
-//! comparable across thread counts.
+//! Threads parallelize at one level only — whole islands, one epoch at a
+//! time — so the run uses four islands of the paper's `(S + C) = (10 + 5)`
+//! migrating 2 individuals every 10 generations; each island evaluates its
+//! own batches on the thread that runs it. Throughput can rise only up to
+//! `min(islands, cores)` workers; eval/s lines make the runs comparable
+//! across thread counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evotc_bits::{BlockHistogram, TestSet, TestSetString};
@@ -28,13 +28,14 @@ fn calibrated_workload() -> (TestSet, BlockHistogram, usize) {
 }
 
 fn compressor(threads: usize) -> EaCompressor {
-    // A wide (S + C) so each generation's child batch is worth chunking
-    // across workers; budget-capped so one run is a stable unit of work.
+    // Four paper-shaped islands; budget-capped so one run is a stable unit
+    // of work.
     let config = EaConfig::builder()
-        .population_size(32)
-        .children_per_generation(64)
+        .population_size(10)
+        .children_per_generation(5)
         .stagnation_limit(1_000)
-        .max_evaluations(1_024)
+        .max_evaluations(4_000)
+        .islands(4, 10, 2)
         .seed(1)
         .threads(threads)
         .build();

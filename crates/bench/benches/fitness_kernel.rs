@@ -1,7 +1,7 @@
 //! Old vs new fitness evaluation: the legacy per-genome path
 //! (`MvSet::from_genes` → `Covering::cover` → `huffman_code`) against the
 //! allocation-free, bit-sliced scratch kernel
-//! (`MvFitness::evaluate_scratch`), on the paper-default shape (K=12, L=64)
+//! (`MvFitness::evaluate_with_objectives`), on the paper-default shape (K=12, L=64)
 //! over a calibrated ISCAS-like workload and on a large synthetic set.
 //!
 //! The kernel must come in at ≥ 3× the legacy throughput on the paper shape
@@ -37,7 +37,9 @@ fn bench_pair(c: &mut Criterion, label: &str, histogram: &BlockHistogram, payloa
         b.iter(|| {
             let mut acc = 0.0;
             for g in &genomes {
-                acc += fitness.evaluate_scratch(black_box(g), &mut scratch);
+                acc += fitness
+                    .evaluate_with_objectives(black_box(g), &mut scratch)
+                    .0;
             }
             acc
         })
@@ -48,7 +50,10 @@ fn bench_pair(c: &mut Criterion, label: &str, histogram: &BlockHistogram, payloa
     for g in &genomes {
         assert_eq!(
             fitness.evaluate(g).to_bits(),
-            fitness.evaluate_scratch(g, &mut scratch).to_bits(),
+            fitness
+                .evaluate_with_objectives(g, &mut scratch)
+                .0
+                .to_bits(),
             "kernel diverged from legacy on {label}"
         );
     }

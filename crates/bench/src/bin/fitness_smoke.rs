@@ -3,8 +3,7 @@
 //! incremental path the EA runs — children priced read-only against one
 //! cached parent — under single-gene, crossover and inversion child
 //! streams, all at the paper-default shape (K=12, L=64, shared
-//! `fitness_fixture` workload), plus the whole-run `evals/sec` of a real EA
-//! and the multi-objective vector path (`multiobjective_evals_per_sec`),
+//! `fitness_fixture` workload), plus the whole-run `evals/sec` of a real EA,
 //! and writes `BENCH_fitness.json` (with the host it ran on) so the repo
 //! carries a perf trajectory across PRs. The correctness gates cover the
 //! objective vector too: kernel side-channel objectives vs the covering
@@ -424,23 +423,10 @@ fn main() {
     let kernel_eps = throughput(GENOMES as u64, || {
         genomes
             .iter()
-            .map(|g| fitness.evaluate_scratch(g, &mut scratch))
-            .sum()
-    });
-    let speedup = kernel_eps / legacy_eps;
-
-    // The multi-objective surface: same kernel pass, but returning the full
-    // (encoded bits, transitions, area) vector. The transition and used-MV
-    // side-channels ride the covering scan and area is a closed form, so
-    // this should track `kernel_evals_per_sec` closely; the ratio makes the
-    // overhead of the vector path visible across PRs.
-    let multiobjective_eps = throughput(GENOMES as u64, || {
-        genomes
-            .iter()
             .map(|g| fitness.evaluate_with_objectives(g, &mut scratch).0)
             .sum()
     });
-    let multiobjective_overhead = kernel_eps / multiobjective_eps;
+    let speedup = kernel_eps / legacy_eps;
 
     // The child streams: one parent rebuild, then STREAM_LEN children priced
     // read-only off the cached parent. The single-gene stream goes through
@@ -625,8 +611,6 @@ fn main() {
     println!("legacy eval/s          : {legacy_eps:.0}");
     println!("kernel eval/s          : {kernel_eps:.0}");
     println!("speedup                : {speedup:.2}x");
-    println!("multiobjective eval/s  : {multiobjective_eps:.0}");
-    println!("multiobjective ovhd    : {multiobjective_overhead:.2}x");
     println!("stream length          : {STREAM_LEN}");
     println!("single-gene full eval/s: {single_full_eps:.0}");
     println!("single-gene probe ev/s : {single_probe_eps:.0}");
@@ -657,8 +641,6 @@ fn main() {
          \"l\": {l},\n  \"distinct_blocks\": {distinct},\n  \"genomes\": {genomes},\n  \
          \"legacy_evals_per_sec\": {legacy:.0},\n  \"kernel_evals_per_sec\": {kernel:.0},\n  \
          \"speedup\": {speedup:.2},\n  \
-         \"multiobjective_evals_per_sec\": {multiobjective:.0},\n  \
-         \"multiobjective_overhead\": {multiobjective_overhead:.2},\n  \
          \"stream_len\": {stream_len},\n  \
          \"single_gene_full_evals_per_sec\": {single_full:.0},\n  \
          \"single_gene_probe_evals_per_sec\": {single_probe:.0},\n  \
@@ -692,8 +674,6 @@ fn main() {
         legacy = legacy_eps,
         kernel = kernel_eps,
         speedup = speedup,
-        multiobjective = multiobjective_eps,
-        multiobjective_overhead = multiobjective_overhead,
         stream_len = STREAM_LEN,
         single_full = single_full_eps,
         single_probe = single_probe_eps,

@@ -41,9 +41,10 @@ pub struct RunProfile {
     pub runs: usize,
     /// (K, L) grid searched for the EA-Best column.
     pub grid: &'static [(usize, usize)],
-    /// Fitness-evaluation threads per EA run, and worker threads for batch
-    /// workload construction (`0` = auto; results are identical for every
-    /// value — see `evotc_evo::parallel`).
+    /// Worker threads for batch workload construction, also handed to each
+    /// EA run as its island worker count (`0` = auto; results are identical
+    /// for every value — see `evotc_evo::parallel`). The paper-table runs
+    /// are panmictic, so their EA evaluates on the calling thread.
     pub threads: usize,
 }
 

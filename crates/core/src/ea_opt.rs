@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::incremental::{encoded_size_probe, encoded_size_rebuild, IncrementalOutcome};
 use crate::kernel::block_transitions;
-use crate::shared_cache::{content_hash, ParentEntry, SharedParentCache};
+use crate::shared_cache::{ParentEntry, SharedParentCache};
 
 use crate::compressed::CompressedTestSet;
 use crate::covering::Covering;
@@ -120,7 +120,7 @@ impl EaCompressor {
     }
 
     fn optimize(&self, histogram: &BlockHistogram, original_bits: f64) -> (MvSet, EaRunSummary) {
-        // One immutable evaluator borrows the histogram; every worker thread
+        // One immutable evaluator borrows the histogram; every island worker
         // shares it instead of re-borrowing mutable closure state.
         let fitness = MvFitness::new(self.k, self.force_all_u, histogram, original_bits);
         let mut ea = EaBuilder::new(
@@ -263,8 +263,8 @@ impl std::error::Error for WeightError {}
 /// over the distinct-block histogram.
 ///
 /// The evaluator is immutable — it borrows one [`BlockHistogram`] and owns
-/// the bit-sliced transposition built from it — so the parallel engine can
-/// hand the same instance to every worker thread. Genomes whose MV set is
+/// the bit-sliced transposition built from it — so an island run can hand
+/// the same instance to every worker thread. Genomes whose MV set is
 /// malformed or cannot cover every block score [`MvFitness::INFEASIBLE`],
 /// which ranks strictly below every feasible compression rate.
 ///
@@ -273,24 +273,25 @@ impl std::error::Error for WeightError {}
 /// * [`MvFitness::evaluate_oracle`] — the legacy reference path (decode an
 ///   [`MvSet`], cover, build a Huffman code); what [`FitnessEval::evaluate`]
 ///   uses. Kept as the oracle the kernel is tested against.
-/// * [`MvFitness::evaluate_scratch`] — the allocation-free, bit-sliced
-///   kernel (see [`crate::EvalScratch`]); what [`FitnessEval::evaluate_batch`]
-///   uses for genomes without lineage (the initial population), with one
-///   pooled worker state per batch chunk, i.e. per worker thread, and what
-///   the lineage path falls back to.
+/// * [`MvFitness::evaluate_with_objectives`] — the allocation-free,
+///   bit-sliced kernel (see [`crate::EvalScratch`]); what
+///   [`FitnessEval::evaluate_batch`] uses for genomes without lineage (the
+///   initial population), with one pooled worker state per batch call, and
+///   what the lineage path falls back to.
 /// * The lineage path — what [`FitnessEval::evaluate_batch`] uses for
 ///   engine children that carry provenance. Parent caches live in one
-///   **shared** [`SharedParentCache`] — content-keyed, so they survive the
+///   bounded store on the evaluator — content-keyed, so they survive the
 ///   population reshuffling between generations — and are probed read-only
-///   through the cost-gated [`crate::encoded_size_probe`], so every worker
-///   thread patches the same cached elite parent without per-thread copies.
+///   through the cost-gated [`crate::encoded_size_probe`], so a cached
+///   elite parent prices every child bred from it, including children on
+///   other islands of the same run.
 ///   Crossover children are priced against whichever parent is cached: the
 ///   outside-the-window parent through the recorded edit window, or the
 ///   window-content donor through a whole-genome diff (see
 ///   [`Lineage::second_parent`]). Edits the gate declines take the kernel.
 ///
 /// Cache effectiveness is observable: hit/miss/fallback counters accumulate
-/// on the shared cache and surface through [`FitnessEval::cache_stats`] on
+/// on the parent cache and surface through [`FitnessEval::cache_stats`] on
 /// [`GenerationStats`] and [`EaRunSummary`].
 ///
 /// All paths return bit-identical `f64` fitness for every genome — enforced
@@ -303,34 +304,27 @@ pub struct MvFitness<'a> {
     sliced: evotc_bits::SlicedHistogram,
     original_bits: f64,
     mode: CombineMode,
-    /// Warmed-up per-worker states (full-kernel scratch, patch scratch,
-    /// hot-entry slots) returned by previous batch calls. The batch call
-    /// checks one out per call — i.e. per worker thread — and returns
-    /// it afterwards, so buffers persist across generations instead of
+    /// Warmed-up worker states (full-kernel scratch, patch scratch) returned
+    /// by previous batch calls. The batch call checks one out per call —
+    /// concurrent island workers each get their own — and returns it
+    /// afterwards, so buffers persist across generations instead of
     /// being rebuilt every batch. Pure warm-up state, invisible to the
     /// determinism contract: the kernel fully re-initializes what it reads,
     /// and every score is bit-identical with or without a cache hit.
     lineage_pool: std::sync::Mutex<Vec<LineageState>>,
-    /// The cross-thread parent-cache store: one rebuild per distinct parent
-    /// serves every worker (see [`SharedParentCache`]). Bounded at
-    /// `SHARED_CACHE_SHARDS × SHARED_SHARD_CAPACITY` entries.
+    /// The parent-cache store: one rebuild per distinct parent serves every
+    /// child bred from it (see the `shared_cache` module). Bounded at
+    /// `PARENT_CACHE_CAPACITY` entries.
     shared: SharedParentCache,
 }
 
-/// One worker's evaluation state: the full kernel's scratch (genomes
-/// without lineage and fallbacks), the per-thread patch scratch the
-/// read-only probes write into, and a few *hot slots* pinning recently used
-/// shared entries so repeat children of the same (elite) parent skip even
-/// the shard's read lock.
+/// One batch call's evaluation state: the full kernel's scratch (genomes
+/// without lineage and fallbacks), the patch scratch the read-only probes
+/// write into, and the per-batch parent lookup memo.
 #[derive(Debug, Default)]
 struct LineageState {
     scratch: crate::EvalScratch,
     patch: crate::PatchScratch,
-    /// `(entry, last-use tick)` — content-checked before use, so a stale
-    /// (evicted) entry is still exactly the parent it claims to be.
-    hot: Vec<(Arc<ParentEntry>, u64)>,
-    /// Monotone use counter driving hot-slot replacement.
-    tick: u64,
     /// Per-batch lookup memo, indexed by parent position: `None` = not yet
     /// looked up, `Some(result)` = the settled outcome. Parent slices are
     /// immutable for the whole batch, so one hash + content check per
@@ -338,22 +332,14 @@ struct LineageState {
     memo: Vec<Option<Option<Arc<ParentEntry>>>>,
 }
 
-/// Hot-slot count per worker state: enough for the handful of parents a
-/// worker's chunk of one generation draws children from.
-const MAX_HOT_SLOTS: usize = 8;
-
-/// Shard count of the shared parent cache. Lookups only lock one shard, so
-/// more shards mean less writer interference between worker threads.
-const SHARED_CACHE_SHARDS: usize = 8;
-
-/// Retained entries per shard. The population holds `S` individuals (the
-/// paper's default `S = 10`); `8 × 8 = 64` entries fit several generations
-/// of churn, and eviction discards the stalest generation beyond that.
-const SHARED_SHARD_CAPACITY: usize = 8;
+/// Retained parent-cache entries. The population holds `S` individuals
+/// (the paper's default `S = 10`); 64 entries fit several generations of
+/// churn, and eviction discards the stalest generation beyond that.
+const PARENT_CACHE_CAPACITY: usize = 64;
 
 impl Clone for MvFitness<'_> {
     /// Clones the evaluator configuration; the clone starts with an empty
-    /// worker-state pool and an empty shared cache (buffers and cached parents
+    /// worker-state pool and an empty parent cache (buffers and cached parents
     /// are warm-up state, not semantics).
     fn clone(&self) -> Self {
         MvFitness {
@@ -364,7 +350,7 @@ impl Clone for MvFitness<'_> {
             original_bits: self.original_bits,
             mode: self.mode,
             lineage_pool: std::sync::Mutex::new(Vec::new()),
-            shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
+            shared: SharedParentCache::new(PARENT_CACHE_CAPACITY),
         }
     }
 }
@@ -392,7 +378,7 @@ impl<'a> MvFitness<'a> {
             original_bits,
             mode: CombineMode::default(),
             lineage_pool: std::sync::Mutex::new(Vec::new()),
-            shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
+            shared: SharedParentCache::new(PARENT_CACHE_CAPACITY),
         }
     }
 
@@ -427,17 +413,12 @@ impl<'a> MvFitness<'a> {
     }
 
     /// Scores one genome through the allocation-free kernel, reusing
-    /// `scratch` across calls. Bit-identical to [`MvFitness::evaluate`].
-    pub fn evaluate_scratch(&self, genes: &[Trit], scratch: &mut crate::EvalScratch) -> f64 {
-        self.evaluate_with_objectives(genes, scratch).0
-    }
-
-    /// Like [`MvFitness::evaluate_scratch`], but also returning the full
-    /// minimized objective vector `(encoded_bits, scan_transitions,
-    /// decoder_gate_equivalents)` — the kernel computes the extra
-    /// objectives as side-channels of the same pass, so this costs no
-    /// second evaluation. Infeasible genomes return
-    /// ([`MvFitness::INFEASIBLE`], [`Objectives::INFEASIBLE`]).
+    /// `scratch` across calls, and returns its fitness — bit-identical to
+    /// [`MvFitness::evaluate`] — with its full minimized objective vector
+    /// `(encoded_bits, scan_transitions, decoder_gate_equivalents)`. The
+    /// kernel computes the extra objectives as side-channels of the same
+    /// pass, so the vector costs no second evaluation. Infeasible genomes
+    /// return ([`MvFitness::INFEASIBLE`], [`Objectives::INFEASIBLE`]).
     pub fn evaluate_with_objectives(
         &self,
         genes: &[Trit],
@@ -460,8 +441,8 @@ impl<'a> MvFitness<'a> {
     }
 
     /// Scores one engine child against a cached parent covering. Read-only
-    /// probe: the shared parent entry is immutable, so any number of
-    /// siblings — across every worker thread — reuse it concurrently.
+    /// probe: the parent entry is immutable, so any number of siblings —
+    /// on any island — reuse it concurrently.
     ///
     /// Parent preference: the primary parent (child equals it outside
     /// `edit`) through the recorded window; failing that, a cached
@@ -519,8 +500,8 @@ impl<'a> MvFitness<'a> {
             self.shared.record_fallback();
             return self.evaluate_with_objectives(genes, &mut state.scratch);
         }
-        // Neither parent cached: build the primary parent once (outside any
-        // lock) and share it for every sibling and thread that follows.
+        // Neither parent cached: build the primary parent once (outside the
+        // lock) and keep it for every sibling that follows.
         self.shared.record_miss();
         let mut cache = crate::EvalCache::new();
         encoded_size_rebuild(&self.sliced, parent, self.force_all_u, &mut cache);
@@ -528,12 +509,11 @@ impl<'a> MvFitness<'a> {
         if let Some(slot) = state.memo.get_mut(parent_idx) {
             *slot = Some(Some(Arc::clone(&entry)));
         }
-        let scored = self.probe(genes, edit, &entry, &mut state.patch);
-        Self::remember(state, entry);
-        scored.unwrap_or_else(|| {
-            self.shared.record_fallback();
-            self.evaluate_with_objectives(genes, &mut state.scratch)
-        })
+        self.probe(genes, edit, &entry, &mut state.patch)
+            .unwrap_or_else(|| {
+                self.shared.record_fallback();
+                self.evaluate_with_objectives(genes, &mut state.scratch)
+            })
     }
 
     /// Prices `genes` as an `edit` of a cached parent through the gated
@@ -560,15 +540,10 @@ impl<'a> MvFitness<'a> {
         }
     }
 
-    /// Finds the shared entry for an exact genome: the worker's hot slots
-    /// first (no locking at all — entries are immutable and content-checked,
-    /// so even an evicted one is still exactly the parent it claims to be),
-    /// then the shared store (one shard read lock). The genome's content
-    /// hash is computed once here and prefilters both tiers, so non-matching
-    /// candidates cost one `u64` compare instead of a genome compare.
-    /// [`MvFitness::lookup`] through the per-batch memo: one hash + content
-    /// check per distinct parent index, every sibling after that reuses the
-    /// settled `Arc` (or the settled miss) for free.
+    /// Finds the cached entry for `parents[idx]` through the per-batch memo:
+    /// one store lookup (hash + content check) per distinct parent index;
+    /// every sibling after that reuses the settled `Arc` (or the settled
+    /// miss) for free.
     fn lookup_memo(
         &self,
         parents: &[&[Trit]],
@@ -578,51 +553,15 @@ impl<'a> MvFitness<'a> {
         if let Some(Some(settled)) = state.memo.get(idx) {
             return settled.clone();
         }
-        let result = self.lookup(parents[idx], state);
+        let result = self.shared.get(parents[idx]);
         if let Some(slot) = state.memo.get_mut(idx) {
             *slot = Some(result.clone());
         }
         result
     }
 
-    fn lookup(&self, genome: &[Trit], state: &mut LineageState) -> Option<Arc<ParentEntry>> {
-        state.tick += 1;
-        let tick = state.tick;
-        let hash = content_hash(genome);
-        if let Some((entry, last)) = state
-            .hot
-            .iter_mut()
-            .find(|(entry, _)| entry.matches(hash, genome))
-        {
-            *last = tick;
-            return Some(Arc::clone(entry));
-        }
-        let entry = self.shared.get_hashed(hash, genome)?;
-        Self::remember(state, Arc::clone(&entry));
-        Some(entry)
-    }
-
-    /// Pins an entry in the worker's hot slots, replacing the least
-    /// recently used one at capacity.
-    fn remember(state: &mut LineageState, entry: Arc<ParentEntry>) {
-        state.tick += 1;
-        let slot = (entry, state.tick);
-        if state.hot.len() < MAX_HOT_SLOTS {
-            state.hot.push(slot);
-        } else {
-            let stalest = state
-                .hot
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(i, _)| i)
-                .expect("hot slots are non-empty at capacity");
-            state.hot[stalest] = slot;
-        }
-    }
-
     /// The shape assertions shared by every kernel-backed path (see
-    /// [`MvFitness::evaluate_scratch`] for why they must panic rather than
+    /// [`MvFitness::evaluate_with_objectives`] for why they must panic rather than
     /// score `INFEASIBLE`).
     fn assert_shape(&self) {
         assert!(
@@ -718,7 +657,7 @@ impl<'a> MvFitness<'a> {
     }
 
     /// Checks a warmed-up worker state out of the pool. A poisoned pool (a
-    /// panicking sibling worker) degrades to a fresh state; results are
+    /// panicking island) degrades to a fresh state; results are
     /// unaffected either way.
     fn checkout(&self) -> LineageState {
         self.lineage_pool
@@ -744,20 +683,19 @@ impl FitnessEval<Trit> for MvFitness<'_> {
     /// The one batch path. Genomes without lineage (the initial population)
     /// take the full kernel and count no cache event. Children carrying
     /// provenance are priced as an edit of a cached parent covering; a
-    /// parent cache is built once (full rebuild) into the **shared** store
-    /// and then probed read-only by every sibling on every worker thread —
-    /// and, being keyed by genome *content*, it keeps serving the same
-    /// individual across generations no matter how selection reorders the
-    /// population.
+    /// parent cache is built once (full rebuild) into the evaluator's store
+    /// and then probed read-only by every sibling — and, being keyed by
+    /// genome *content*, it keeps serving the same individual across
+    /// generations no matter how selection reorders the population.
     ///
-    /// One worker state — full-kernel scratch, patch scratch, hot slots —
-    /// is checked out of the pool on `self` per call, i.e. per worker
-    /// thread, so buffers survive from generation to generation. Each
+    /// One worker state — full-kernel scratch, patch scratch — is checked
+    /// out of the pool on `self` per call, so buffers survive from
+    /// generation to generation. Each
     /// genome's full objective vector `(encoded_bits, scan_transitions,
     /// decoder_gate_equivalents)` falls out of the same pass (full kernel or
     /// incremental patch), so multi-objective batches cost exactly what
     /// scalar batches do. Scores are bit-identical to
-    /// [`MvFitness::evaluate_scratch`]; the cache only changes how much work
+    /// [`MvFitness::evaluate_with_objectives`]; the cache only changes how much work
     /// a score costs (and the counters reported by
     /// [`FitnessEval::cache_stats`]).
     fn evaluate_batch(
@@ -770,8 +708,8 @@ impl FitnessEval<Trit> for MvFitness<'_> {
     ) {
         debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
         // Fault injection: a poisoned evaluator panicking mid-batch. The
-        // hit counts once per batch chunk (one call per worker thread), so
-        // deterministic tests pin the engine to one thread.
+        // hit counts once per batch (once per island per generation), so
+        // deterministic island tests pin the engine to one thread.
         #[cfg(feature = "failpoints")]
         if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
             panic!("injected evaluator fault");
@@ -790,7 +728,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         self.checkin(state);
     }
 
-    /// Hit/miss/fallback counters of the shared parent cache — surfaced by
+    /// Hit/miss/fallback counters of the parent cache — surfaced by
     /// the engine on every [`GenerationStats`] (see
     /// [`evotc_evo::CacheStats`]).
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -811,10 +749,10 @@ pub struct EaRunSummary {
     pub history: Vec<GenerationStats>,
     /// Wall-clock duration of the optimization.
     pub elapsed: std::time::Duration,
-    /// Final shared-parent-cache counters (hits / misses / full-kernel
-    /// fallbacks) of the incremental evaluation path. Observability only —
-    /// like [`EaRunSummary::elapsed`], excluded from the determinism
-    /// contract (concurrent workers can race to build the same parent).
+    /// Final parent-cache counters (hits / misses / full-kernel fallbacks)
+    /// of the incremental evaluation path. Observability only — like
+    /// [`EaRunSummary::elapsed`], excluded from the determinism contract
+    /// (concurrent island workers can race to build the same parent).
     pub cache: Option<CacheStats>,
     /// Why the optimization stopped (see [`StopReason`]); the paper's
     /// stagnation termination reports [`StopReason::Converged`].
@@ -922,8 +860,9 @@ impl EaCompressorBuilder {
         self
     }
 
-    /// Sets the fitness-evaluation thread count (`0` = auto; see
-    /// [`evotc_evo::parallel::resolve_threads`]). Compression results are
+    /// Sets the island worker-thread count (`0` = auto; see
+    /// [`evotc_evo::EaConfig::threads`]). A panmictic run evaluates on the
+    /// calling thread whatever this says. Compression results are
     /// bit-identical for every value — this knob only trades wall-clock.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -1135,7 +1074,7 @@ mod tests {
         let cache = summary.cache.expect("MvFitness reports cache stats");
         assert!(
             cache.hits > 0,
-            "steady-state children should hit the shared parent cache: {cache}"
+            "steady-state children should hit the parent cache: {cache}"
         );
         assert!(cache.misses > 0, "first sightings build caches: {cache}");
         // The last generation's snapshot equals the final summary (all

@@ -38,7 +38,7 @@
 //! The public pricing API is three functions. Pricing never writes to the
 //! cache: a cached parent is rebuilt once and then only read, so one parent
 //! prices any number of children, from any number of threads at once (see
-//! [`crate::SharedParentCache`]). The two pricing functions share one
+//! [`crate::MvFitness`]). The two pricing functions share one
 //! preamble (shape and histogram gate, lineage check, changed-chunk
 //! detection) and keep their per-call working memory in a caller-owned
 //! [`PatchScratch`]:
@@ -514,8 +514,7 @@ pub fn encoded_size_incremental(
 
 /// Cost-gated form of [`encoded_size_incremental`], and the one the EA
 /// runs: any number of worker threads can probe the same `&EvalCache`
-/// concurrently, each with its own scratch (see
-/// [`crate::SharedParentCache`]).
+/// concurrently, each with its own scratch (see [`crate::MvFitness`]).
 ///
 /// The multi-chunk path is **cost-gated**: when the estimated
 /// ownership-patch work exceeds the estimated cost of a full rescan, the

@@ -33,8 +33,8 @@ use crate::mvset::covering_key;
 ///
 /// One `EvalScratch` serves any sequence of evaluations (shapes may vary
 /// between calls); buffers grow to the largest shape seen and are reused.
-/// Keep one per worker thread — the batch override of
-/// [`MvFitness`](crate::MvFitness) does exactly that.
+/// Keep one per concurrent caller — the batch override of
+/// [`MvFitness`](crate::MvFitness) checks one out of a pool per call.
 ///
 /// # Example
 ///

@@ -79,7 +79,7 @@ pub use kernel::{encoded_size_scratch, EvalScratch};
 pub use mv::{MatchingVector, ParseMvError};
 pub use mvset::{covering_key, MvSet};
 pub use ninec::{ninec_codewords, ninec_matching_vectors, NineCCompressor, NineCHuffmanCompressor};
-pub use shared_cache::{content_hash, test_set_content_hash, ParentEntry, SharedParentCache};
+pub use shared_cache::{content_hash, test_set_content_hash};
 
 use evotc_bits::TestSet;
 

@@ -1,46 +1,37 @@
-//! A sharded, read-mostly parent-cache shared across worker threads.
+//! The evaluator's bounded, content-keyed store of parent caches.
 //!
-//! A hot elite parent is bred against by most of a generation's children,
-//! on every worker thread. [`SharedParentCache`], owned by the evaluator
-//! (which every worker already borrows), holds one [`EvalCache`] per
-//! parent: a parent is rebuilt **once**, its entry is immutable from then
-//! on, and every thread prices children against it through the read-only,
-//! cost-gated [`crate::encoded_size_probe`] with a per-thread
+//! A hot elite parent is bred against by most of a generation's children.
+//! [`SharedParentCache`], owned by [`crate::MvFitness`], holds one
+//! [`EvalCache`] per parent: a parent is rebuilt **once**, its entry is
+//! immutable from then on, and children are priced against it through the
+//! read-only, cost-gated [`crate::encoded_size_probe`] with the caller's
 //! [`crate::PatchScratch`]. Edits the gate declines (a multi-chunk patch
 //! estimated costlier than a rescan) fall back to the full kernel; the
 //! entry stays as it was.
 //!
-//! # Design
-//!
 //! * **Content-keyed, hash-prefiltered.** Entries are keyed by the exact
 //!   genome, so a hit is never a hash gamble and entries stay valid across
-//!   generations however selection reshuffles the population. Each entry
-//!   additionally stores its genome's [`content_hash`] (FNV-1a), which
-//!   doubles as the shard index: probes compare one `u64` (plus the length)
-//!   per candidate and touch the genome itself only for the entry actually
-//!   returned, so a lookup no longer walks full-genome compares on the hot
-//!   path. Lookups take one shard's read lock only — concurrent readers
-//!   never block each other, and writes (first sighting of a parent) are
-//!   rare by construction in the EA's steady state. Callers that hold on to a
-//!   returned [`Arc<ParentEntry>`] (see `MvFitness`'s per-worker hot slots)
-//!   price repeat children of the same parent with **no** locking at all —
-//!   an entry is immutable and remains valid even after eviction.
-//! * **Bounded.** Each shard holds at most `shard_capacity` entries; beyond
-//!   that the entry with the oldest *use stamp* is evicted. The stamp is a
+//!   generations however selection reshuffles the population. The store
+//!   keeps each entry's [`content_hash`] inline, so a lookup scans one
+//!   contiguous run of `u64`s and compares the full genome only for the
+//!   entry it returns.
+//! * **Bounded.** At most `capacity` entries are retained; beyond that the
+//!   entry with the oldest *use stamp* is evicted. The stamp is a
 //!   generation counter bumped once per evaluation batch
 //!   ([`SharedParentCache::bump_generation`]), so eviction discards parents
-//!   that stopped breeding, and a long run's footprint stays flat at
-//!   `shards × shard_capacity` entries no matter how many individuals it
-//!   churns through (enforced by tests).
+//!   that stopped breeding, and a long run's footprint stays flat no matter
+//!   how many individuals it churns through (enforced by tests).
 //! * **Observable, never semantic.** Hit/miss/fallback counters feed
-//!   [`evotc_evo::CacheStats`] on the engine's per-generation stats. Under
-//!   concurrent evaluation two workers can race to build the same parent —
-//!   both count a miss, both build bit-identical entries, and the insert
-//!   keeps one — so the counters are approximate under parallelism while
-//!   scores remain exactly deterministic.
+//!   [`evotc_evo::CacheStats`] on the engine's per-generation stats. The
+//!   islands of an island run share one evaluator and may look up and
+//!   insert concurrently (one mutex guards the store). Two islands can
+//!   race to build the same parent — both count a miss, both build
+//!   bit-identical entries, and the insert keeps one — so the counters are
+//!   approximate under concurrency while scores remain exactly
+//!   deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 use evotc_bits::Trit;
 use evotc_evo::CacheStats;
@@ -48,51 +39,32 @@ use evotc_evo::CacheStats;
 use crate::incremental::EvalCache;
 
 /// One cached parent: the exact genome and its fully evaluated covering
-/// state. Immutable after construction — the shared cache never mutates an
-/// entry, it only inserts and evicts whole entries.
+/// state. Immutable after construction — the cache never mutates an entry,
+/// it only inserts and evicts whole entries.
 #[derive(Debug)]
-pub struct ParentEntry {
+pub(crate) struct ParentEntry {
     genome: Vec<Trit>,
-    /// [`content_hash`] of `genome`, precomputed so probes prefilter on one
-    /// `u64` compare instead of a full-genome compare.
-    hash: u64,
     cache: EvalCache,
-    /// Generation stamp of the last lookup that returned this entry.
-    last_used: AtomicU64,
 }
 
 impl ParentEntry {
-    /// The exact genome this entry was built from.
-    pub fn genome(&self) -> &[Trit] {
-        &self.genome
-    }
-
-    /// The precomputed [`content_hash`] of [`ParentEntry::genome`]. Callers
-    /// keeping their own entry indexes (e.g. per-worker hot slots) prefilter
-    /// on it the same way the shared store does.
-    pub fn content_hash(&self) -> u64 {
-        self.hash
-    }
-
     /// The parent's covering state, for [`crate::encoded_size_probe`].
-    pub fn cache(&self) -> &EvalCache {
+    pub(crate) fn cache(&self) -> &EvalCache {
         &self.cache
     }
 
-    /// `true` exactly when this entry was built from `genome`: hash-and-
-    /// length prefilter first (one `u64` and one `usize` compare — what
-    /// every non-matching candidate stops at), full content compare only on
-    /// a prefilter match, so a hit is still never a hash gamble.
-    pub fn matches(&self, hash: u64, genome: &[Trit]) -> bool {
+    /// `true` exactly when this entry was built from `genome` — the full
+    /// content compare behind a hash-prefilter match, so a hit is never a
+    /// hash gamble.
+    fn matches(&self, genome: &[Trit]) -> bool {
         // Fault injection: a forced mismatch is the "detected corruption"
-        // answer — both the hot-slot scan and the shared-store probe funnel
-        // through here, so one site covers every cache tier. The evaluator
-        // must fall back to a full rebuild with unchanged scores.
+        // answer — every prefilter match funnels through here. The
+        // evaluator must fall back to a full rebuild with unchanged scores.
         #[cfg(feature = "failpoints")]
         if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_CACHE_PROBE) {
             return false;
         }
-        self.hash == hash && same_genome(&self.genome, genome)
+        same_genome(&self.genome, genome)
     }
 }
 
@@ -109,10 +81,9 @@ fn same_genome(a: &[Trit], b: &[Trit]) -> bool {
             == 0
 }
 
-/// Content fingerprint of a genome: the content key of the shared cache.
-/// Both the shard index and the per-entry prefilter derive from it, so
-/// callers compute it once per lookup ([`SharedParentCache::get_hashed`])
-/// and reuse it across hot-slot scans and shard probes.
+/// Content fingerprint of a genome: the prefilter key of the parent cache,
+/// computed once per lookup and compared against each entry's stored hash
+/// before any genome compare.
 ///
 /// Two independent FNV-1a lanes over 8-trit *words* rather than single
 /// trits: packing eight indices into one `u64` per mix makes the dependent
@@ -153,12 +124,22 @@ pub fn test_set_content_hash(set: &evotc_bits::TestSet) -> u64 {
     (content_hash(&trits) ^ set.width() as u64).wrapping_mul(PRIME)
 }
 
-/// A bounded, sharded, content-keyed store of parent [`EvalCache`]s shared
-/// by every fitness worker thread. See the `shared_cache` module docs.
+/// One retained entry with its lookup prefilter and use stamp.
 #[derive(Debug)]
-pub struct SharedParentCache {
-    shards: Box<[RwLock<Vec<Arc<ParentEntry>>>]>,
-    shard_capacity: usize,
+struct Slot {
+    /// [`content_hash`] of the entry's genome.
+    hash: u64,
+    /// Generation stamp of the last lookup that returned the entry.
+    last_used: u64,
+    entry: Arc<ParentEntry>,
+}
+
+/// A bounded, content-keyed store of parent [`EvalCache`]s. See the module
+/// docs.
+#[derive(Debug)]
+pub(crate) struct SharedParentCache {
+    slots: Mutex<Vec<Slot>>,
+    capacity: usize,
     /// Generation stamp driving eviction; bumped per evaluation batch.
     stamp: AtomicU64,
     hits: AtomicU64,
@@ -167,18 +148,16 @@ pub struct SharedParentCache {
 }
 
 impl SharedParentCache {
-    /// Creates a cache of `shards` independent shards holding at most
-    /// `shard_capacity` entries each.
+    /// Creates a cache retaining at most `capacity` entries.
     ///
     /// # Panics
     ///
-    /// Panics if either bound is zero.
-    pub fn new(shards: usize, shard_capacity: usize) -> Self {
-        assert!(shards > 0, "at least one shard is required");
-        assert!(shard_capacity > 0, "shard capacity must be positive");
+    /// Panics if `capacity` is zero.
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "capacity must be positive");
         SharedParentCache {
-            shards: (0..shards).map(|_| RwLock::new(Vec::new())).collect(),
-            shard_capacity,
+            slots: Mutex::new(Vec::new()),
+            capacity,
             stamp: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -186,118 +165,83 @@ impl SharedParentCache {
         }
     }
 
-    /// Hard bound on retained entries: `shards × shard_capacity`. A run's
-    /// cache footprint can never exceed it, plus up to a hot-slot's worth
-    /// of evicted entries pinned per worker state (those `Arc`s live in the
-    /// evaluator's worker pool until LRU-displaced) — still a constant,
-    /// never proportional to the individuals a run churns through.
-    pub fn capacity(&self) -> usize {
-        self.shards.len() * self.shard_capacity
-    }
-
-    /// Number of entries currently retained, over all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().map(|shard| shard.len()).unwrap_or(0))
-            .sum()
-    }
-
-    /// Returns `true` if no entries are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Advances the generation stamp. The evaluator calls this once per
     /// batch call, so eviction ranks parents by the last *generation*
     /// that bred from them rather than by raw lookup order.
-    pub fn bump_generation(&self) {
+    pub(crate) fn bump_generation(&self) {
         self.stamp.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Looks up the entry for an exact genome, stamping it as used. Read
-    /// lock only; `None` means no thread has built this parent yet (or it
-    /// was evicted).
-    pub fn get(&self, genome: &[Trit]) -> Option<Arc<ParentEntry>> {
-        self.get_hashed(content_hash(genome), genome)
-    }
-
-    /// [`SharedParentCache::get`] with the genome's [`content_hash`]
-    /// precomputed by the caller — the hot-path form: candidates are
-    /// rejected on the hash prefilter (see [`ParentEntry::matches`]) and the
-    /// full-genome compare runs only for the entry that is then returned.
-    ///
-    /// `hash` **must** equal `content_hash(genome)`; a mismatched pair
-    /// probes the wrong shard and simply misses.
-    pub fn get_hashed(&self, hash: u64, genome: &[Trit]) -> Option<Arc<ParentEntry>> {
-        let shard = &self.shards[self.shard_of(hash)];
-        let guard = shard.read().ok()?;
-        let entry = guard.iter().find(|e| e.matches(hash, genome))?;
-        entry
-            .last_used
-            .store(self.stamp.load(Ordering::Relaxed), Ordering::Relaxed);
-        Some(Arc::clone(entry))
+    /// Looks up the entry for an exact genome, stamping it as used. `None`
+    /// means no batch has built this parent yet (or it was evicted).
+    pub(crate) fn get(&self, genome: &[Trit]) -> Option<Arc<ParentEntry>> {
+        let hash = content_hash(genome);
+        let mut slots = self.slots.lock().ok()?;
+        let slot = find(&mut slots, hash, genome)?;
+        slot.last_used = self.stamp.load(Ordering::Relaxed);
+        Some(Arc::clone(&slot.entry))
     }
 
     /// Inserts a freshly built parent cache, evicting the stalest entry if
-    /// the shard is full, and returns the retained entry.
+    /// the store is full, and returns the retained entry.
     ///
     /// If another thread inserted the same genome in the meantime the
     /// existing entry wins and `cache` is dropped — both are bit-identical
     /// by the incremental engine's equivalence guarantee, so which build
     /// survives is unobservable. Callers should build `cache` *before*
-    /// calling (outside any lock).
-    pub fn insert(&self, genome: &[Trit], cache: EvalCache) -> Arc<ParentEntry> {
+    /// calling (outside the lock).
+    pub(crate) fn insert(&self, genome: &[Trit], cache: EvalCache) -> Arc<ParentEntry> {
         let stamp = self.stamp.load(Ordering::Relaxed);
         let hash = content_hash(genome);
         let entry = Arc::new(ParentEntry {
             genome: genome.to_vec(),
-            hash,
             cache,
-            last_used: AtomicU64::new(stamp),
         });
-        let shard = &self.shards[self.shard_of(hash)];
-        let mut guard = match shard.write() {
-            Ok(guard) => guard,
-            // A poisoned shard (a panicking worker) degrades to not
+        let mut slots = match self.slots.lock() {
+            Ok(slots) => slots,
+            // A poisoned store (a panicking island) degrades to not
             // caching; the entry still serves this caller.
             Err(_) => return entry,
         };
-        if let Some(existing) = guard.iter().find(|e| e.matches(hash, genome)) {
-            existing.last_used.store(stamp, Ordering::Relaxed);
-            return Arc::clone(existing);
+        if let Some(existing) = find(&mut slots, hash, genome) {
+            existing.last_used = stamp;
+            return Arc::clone(&existing.entry);
         }
-        if guard.len() >= self.shard_capacity {
-            let stalest = guard
+        if slots.len() >= self.capacity {
+            let stalest = slots
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(i, _)| i)
-                .expect("full shard is non-empty");
-            guard.swap_remove(stalest);
+                .expect("a full store is non-empty");
+            slots.swap_remove(stalest);
         }
-        guard.push(Arc::clone(&entry));
+        slots.push(Slot {
+            hash,
+            last_used: stamp,
+            entry: Arc::clone(&entry),
+        });
         entry
     }
 
     /// Counts a child priced off a cached parent.
-    pub fn record_hit(&self) {
+    pub(crate) fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a parent cache built from scratch.
-    pub fn record_miss(&self) {
+    pub(crate) fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a child that fell back to the full kernel.
-    pub fn record_fallback(&self) {
+    pub(crate) fn record_fallback(&self) {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the cumulative counters (approximate under concurrent
-    /// evaluation; see the `shared_cache` module docs).
-    pub fn stats(&self) -> CacheStats {
+    /// evaluation; see the module docs).
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -305,10 +249,19 @@ impl SharedParentCache {
         }
     }
 
-    /// Reduces a [`content_hash`] to a shard index.
-    fn shard_of(&self, hash: u64) -> usize {
-        (hash % self.shards.len() as u64) as usize
+    /// Number of entries currently retained.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.lock().map_or(0, |slots| slots.len())
     }
+}
+
+/// The slot holding exactly `genome`: candidates are rejected on the inline
+/// hash, and only a hash match pays the full genome compare.
+fn find<'s>(slots: &'s mut [Slot], hash: u64, genome: &[Trit]) -> Option<&'s mut Slot> {
+    slots
+        .iter_mut()
+        .find(|slot| slot.hash == hash && slot.entry.matches(genome))
 }
 
 #[cfg(test)]
@@ -339,20 +292,21 @@ mod tests {
     #[test]
     fn get_after_insert_returns_the_same_entry() {
         let sliced = sliced();
-        let shared = SharedParentCache::new(4, 4);
+        let shared = SharedParentCache::new(4);
         let g = genome(1);
         assert!(shared.get(&g).is_none());
         let inserted = shared.insert(&g, built(&sliced, &g));
         let found = shared.get(&g).expect("entry is retained");
         assert!(Arc::ptr_eq(&inserted, &found));
-        assert_eq!(found.genome(), &g[..]);
+        assert_eq!(found.genome, g);
         assert!(found.cache().is_warm());
+        assert!(shared.get(&genome(2)).is_none());
     }
 
     #[test]
     fn double_insert_keeps_one_entry() {
         let sliced = sliced();
-        let shared = SharedParentCache::new(2, 4);
+        let shared = SharedParentCache::new(4);
         let g = genome(2);
         let a = shared.insert(&g, built(&sliced, &g));
         let b = shared.insert(&g, built(&sliced, &g));
@@ -365,8 +319,7 @@ mod tests {
         // The memory-hygiene bound: hundreds of distinct parents churn
         // through, the retained entry count never exceeds the capacity.
         let sliced = sliced();
-        let shared = SharedParentCache::new(4, 2);
-        assert_eq!(shared.capacity(), 8);
+        let shared = SharedParentCache::new(8);
         for generation in 0..100 {
             shared.bump_generation();
             for c in 0..4 {
@@ -376,21 +329,20 @@ mod tests {
                 }
             }
             assert!(
-                shared.len() <= shared.capacity(),
-                "generation {generation}: {} entries > capacity {}",
-                shared.len(),
-                shared.capacity()
+                shared.len() <= 8,
+                "generation {generation}: {} entries > capacity 8",
+                shared.len()
             );
         }
-        assert!(!shared.is_empty());
+        assert!(shared.len() > 0);
     }
 
     #[test]
     fn eviction_discards_the_stalest_generation_first() {
         let sliced = sliced();
-        // One shard, capacity 2: the entry untouched for the most
-        // generations is evicted.
-        let shared = SharedParentCache::new(1, 2);
+        // Capacity 2: the entry untouched for the most generations is
+        // evicted.
+        let shared = SharedParentCache::new(2);
         let (old, hot, new) = (genome(11), genome(22), genome(33));
         shared.insert(&old, built(&sliced, &old));
         shared.insert(&hot, built(&sliced, &hot));
@@ -406,7 +358,7 @@ mod tests {
     #[test]
     fn evicted_entries_stay_usable_through_held_arcs() {
         let sliced = sliced();
-        let shared = SharedParentCache::new(1, 1);
+        let shared = SharedParentCache::new(1);
         let g = genome(5);
         let held = shared.insert(&g, built(&sliced, &g));
         let other = genome(6);
@@ -414,12 +366,12 @@ mod tests {
         assert!(shared.get(&g).is_none());
         // The held Arc is still a perfectly valid (immutable) parent cache.
         assert!(held.cache().is_warm());
-        assert_eq!(held.genome(), &g[..]);
+        assert_eq!(held.genome, g);
     }
 
     #[test]
     fn counters_accumulate_into_stats() {
-        let shared = SharedParentCache::new(1, 1);
+        let shared = SharedParentCache::new(1);
         shared.record_hit();
         shared.record_hit();
         shared.record_miss();
@@ -431,7 +383,7 @@ mod tests {
     #[test]
     fn concurrent_get_and_insert_stay_bounded() {
         let sliced = sliced();
-        let shared = SharedParentCache::new(4, 2);
+        let shared = SharedParentCache::new(8);
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let shared = &shared;
@@ -443,13 +395,28 @@ mod tests {
                             Some(entry) => entry,
                             None => shared.insert(&g, built(sliced, &g)),
                         };
-                        assert_eq!(entry.genome(), &g[..]);
+                        assert_eq!(entry.genome, g);
                         assert!(entry.cache().is_warm());
                     }
                 });
             }
         });
-        assert!(shared.len() <= shared.capacity());
+        assert!(shared.len() <= 8);
+    }
+
+    #[test]
+    fn lookups_match_by_hash_prefilter_and_content() {
+        let sliced = sliced();
+        let shared = SharedParentCache::new(4);
+        let g = genome(7);
+        let entry = shared.insert(&g, built(&sliced, &g));
+        assert!(entry.matches(&g));
+        assert!(!entry.matches(&genome(8)));
+        let mut slots = shared.slots.lock().unwrap();
+        let hash = content_hash(&g);
+        assert!(find(&mut slots, hash, &g).is_some());
+        // A wrong prefilter never reaches the content compare.
+        assert!(find(&mut slots, hash.wrapping_add(1), &g).is_none());
     }
 
     #[test]
@@ -467,25 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn entries_expose_their_hash_and_match_by_prefilter() {
-        let sliced = sliced();
-        let shared = SharedParentCache::new(4, 4);
-        let g = genome(7);
-        let hash = content_hash(&g);
-        let entry = shared.insert(&g, built(&sliced, &g));
-        assert_eq!(entry.content_hash(), hash);
-        assert!(entry.matches(hash, &g));
-        assert!(!entry.matches(hash.wrapping_add(1), &g));
-        assert!(!entry.matches(hash, &genome(8)));
-        // The precomputed-hash lookup is the plain lookup.
-        let found = shared.get_hashed(hash, &g).expect("entry is retained");
-        assert!(Arc::ptr_eq(&entry, &found));
-        assert!(shared
-            .get_hashed(content_hash(&genome(8)), &genome(8))
-            .is_none());
-    }
-
-    #[test]
     fn test_set_hash_tracks_content_and_shape() {
         use evotc_bits::TestSet;
         let a = TestSet::parse(&["1100XX10", "0X011010"]).unwrap();
@@ -500,14 +448,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_are_rejected() {
-        let _ = SharedParentCache::new(0, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
-        let _ = SharedParentCache::new(1, 0);
+        let _ = SharedParentCache::new(0);
     }
 }

@@ -20,7 +20,7 @@ pub enum Topology {
     /// One panmictic population (the paper's setup). The engine runs it as
     /// a one-island run — one-generation epochs, no migration — on the raw
     /// [`EaConfig::seed`] RNG stream, scoring each generation's batch on
-    /// up to [`EaConfig::threads`] workers. It is not the same run as
+    /// the calling thread. It is not the same run as
     /// `Islands { count: 1, .. }`, whose one island draws from a stream
     /// derived from the seed and reports per-island events.
     #[default]
@@ -122,7 +122,9 @@ pub struct EaConfig {
     pub max_generations: u64,
     /// RNG seed; runs with the same seed and inputs are identical.
     pub seed: u64,
-    /// Worker threads for fitness evaluation. `0` (the default) resolves
+    /// Worker threads an island run spreads its islands over (at most one
+    /// per island). A panmictic run is one island and evaluates on the
+    /// calling thread whatever this says. `0` (the default) resolves
     /// automatically — see [`crate::parallel::resolve_threads`]. Results are
     /// bit-identical for every value: the thread count is a throughput knob,
     /// never a semantic one.
@@ -327,9 +329,10 @@ impl EaConfigBuilder {
         self
     }
 
-    /// Sets the fitness-evaluation thread count (`0` = auto; see
-    /// [`crate::parallel::resolve_threads`]). Thread count never changes
-    /// results, only wall-clock.
+    /// Sets the island worker-thread count (`0` = auto; see
+    /// [`EaConfig::threads`] and [`crate::parallel::resolve_threads`]). A
+    /// panmictic run ignores it. Thread count never changes results, only
+    /// wall-clock.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self

@@ -37,12 +37,14 @@ type CheckpointSink<'s, G> = Box<dyn FnMut(&EaCheckpoint<G>) -> Result<(), Check
 ///
 /// Breeding emits each generation's children and their [`Lineage`] into a
 /// pooled per-population batch (no per-child allocation in the steady
-/// state), and the whole batch is scored at once — on up to
-/// [`EaConfig::threads`] worker threads for a panmictic run, or one island
-/// per worker for an island run (see [`Topology`]). Both topologies run
-/// through the same loop: a panmictic run is a one-island run with a
-/// one-generation epoch and no migration, on the raw [`EaConfig::seed`]
-/// RNG stream (an island run derives one stream per island from it).
+/// state), and the whole batch is scored at once by one
+/// [`FitnessEval::evaluate_batch`] call on the thread that bred it. An
+/// island run spreads its islands over up to [`EaConfig::threads`] worker
+/// threads (see [`Topology`]); a panmictic run is a single island and
+/// evaluates on the calling thread. Both topologies run through the same
+/// loop: a panmictic run is a one-island run with a one-generation epoch
+/// and no migration, on the raw [`EaConfig::seed`] RNG stream (an island
+/// run derives one stream per island from it).
 /// Results are bit-identical for every thread count.
 ///
 /// # Example
@@ -390,9 +392,8 @@ where
         // trajectory is a pure function of (seed, topology, config) —
         // worker threads only decide which islands run concurrently, never
         // what they compute. A panmictic run is the one-island case with
-        // interval 1 and no migrants, kept on the raw seed stream: it
-        // spends its threads inside each generation's batch instead of
-        // across islands, and reports only merged events.
+        // interval 1 and no migrants, kept on the raw seed stream: it runs
+        // on the calling thread and reports only merged events.
         let panmictic = config.topology == Topology::Panmictic;
         let (count, interval, migrants) = match config.topology {
             Topology::Panmictic => (1, 1, 0),
@@ -402,11 +403,7 @@ where
                 migrants,
             } => (count, interval, migrants),
         };
-        let (workers, eval_threads) = if panmictic {
-            (1, threads)
-        } else {
-            (threads.min(count), 1)
-        };
+        let workers = threads.min(count);
 
         let mut history: Vec<GenerationStats> = Vec::new();
         let mut quarantined = vec![false; count];
@@ -525,7 +522,6 @@ where
                         &mut island_seeds,
                         &sample_gene,
                         &fitness,
-                        eval_threads,
                     )
                 })) {
                     Ok(island) => islands.push(island),
@@ -570,7 +566,7 @@ where
             let epoch_gens = interval.min(config.max_generations - generation);
             let failures = for_each_island(&mut islands, &quarantined, workers, |island| {
                 for g in 0..epoch_gens {
-                    step(&config, &sample_gene, &fitness, eval_threads, island);
+                    step(&config, &sample_gene, &fitness, island);
                     island.log_generation(generation + g + 1, start);
                 }
             });
@@ -720,27 +716,34 @@ fn island_seed(seed: u64, island: u64) -> u64 {
 }
 
 /// The engine's one evaluation call, shared by the initial population
-/// (all-`None` lineage) and every generation's children. Runs that neither
-/// rank on objective vectors nor archive them (scalar runs) replace the
-/// evaluator's vectors with [`Objectives::from_fitness`] of each score, so
-/// their trajectories and checkpoints depend on the scalar fitness alone.
-#[allow(clippy::too_many_arguments)]
+/// (all-`None` lineage) and every generation's children: one
+/// [`FitnessEval::evaluate_batch`] call on the calling thread, writing into
+/// the island's reusable buffers (resized to `genomes.len()`, so the
+/// steady state allocates no output vectors).
+///
+/// Score slots are prefilled with `NaN` and objective slots with
+/// [`Objectives::NAN`]; an override that skips a slot therefore leaves
+/// `NaN` behind, which selection ranks last — the same treatment a
+/// `NaN`-returning evaluator gets. Runs that neither rank on objective
+/// vectors nor archive them (scalar runs) replace the evaluator's vectors
+/// with [`Objectives::from_fitness`] of each score, so their trajectories
+/// and checkpoints depend on the scalar fitness alone.
 fn evaluate<G, F>(
     config: &EaConfig,
     fitness: &F,
     genomes: &[Vec<G>],
     lineage: &[Option<Lineage>],
     parents: &[&[G]],
-    threads: usize,
     scores: &mut Vec<f64>,
     objectives: &mut Vec<Objectives>,
 ) where
-    G: Sync,
-    F: FitnessEval<G> + Sync,
+    F: FitnessEval<G>,
 {
-    parallel::evaluate_into(
-        fitness, genomes, lineage, parents, threads, scores, objectives,
-    );
+    scores.clear();
+    scores.resize(genomes.len(), f64::NAN);
+    objectives.clear();
+    objectives.resize(genomes.len(), Objectives::NAN);
+    fitness.evaluate_batch(genomes, lineage, parents, scores, objectives);
     let needs_objectives = config.ranking == Ranking::Lexicographic || config.pareto_capacity > 0;
     if !needs_objectives {
         for (vector, &score) in objectives.iter_mut().zip(scores.iter()) {
@@ -949,12 +952,11 @@ fn init_island<G, SampleGene, F>(
     seeds: &mut Vec<Vec<G>>,
     sample_gene: &SampleGene,
     fitness: &F,
-    threads: usize,
 ) -> IslandState<G>
 where
-    G: Copy + Send + Sync,
+    G: Copy,
     SampleGene: Fn(&mut StdRng) -> G,
-    F: FitnessEval<G> + Sync,
+    F: FitnessEval<G>,
 {
     let s = config.population_size;
     let mut batch = ChildBatch::default();
@@ -970,7 +972,6 @@ where
         &genomes,
         &batch.lineages,
         &[],
-        threads,
         &mut batch.scores,
         &mut batch.objectives,
     );
@@ -1028,12 +1029,11 @@ fn step<G, SampleGene, F>(
     config: &EaConfig,
     sample_gene: &SampleGene,
     fitness: &F,
-    threads: usize,
     island: &mut IslandState<G>,
 ) where
-    G: Copy + Send + Sync,
+    G: Copy,
     SampleGene: Fn(&mut StdRng) -> G,
-    F: FitnessEval<G> + Sync,
+    F: FitnessEval<G>,
 {
     let s = config.population_size;
     let c = config.children_per_generation;
@@ -1123,7 +1123,6 @@ fn step<G, SampleGene, F>(
         children,
         lineages,
         &parent_genes,
-        threads,
         scores,
         objectives,
     );
@@ -1199,11 +1198,10 @@ fn migrate<G: Copy>(
 }
 
 /// Runs `f` once per non-skipped island, distributing contiguous island
-/// chunks over at most `workers` scoped threads. Each island is touched by
-/// exactly one thread and owns all of its state, so the result is
-/// independent of the worker count — the same argument
-/// [`parallel::evaluate_into`] makes for fitness batches, lifted to whole
-/// subpopulations.
+/// chunks over at most `workers` scoped threads — the engine's one
+/// thread-spawn site. Each island is touched by exactly one thread and owns
+/// all of its state (RNG stream included), so the result is independent of
+/// the worker count.
 ///
 /// Each island body runs under `catch_unwind`: a panicking island never
 /// takes down its worker thread (which may hold other islands of the same
@@ -1347,6 +1345,50 @@ mod tests {
             assert_eq!(other.generations, reference.generations);
             assert_eq!(other.evaluations, reference.evaluations);
         }
+    }
+
+    #[test]
+    fn panmictic_batches_run_on_the_calling_thread() {
+        // Every batch of a panmictic run — the initial population and each
+        // generation's children — is evaluated whole by the thread that
+        // called `run`, whatever the configured thread count.
+        use std::sync::{Arc, Mutex};
+        use std::thread::ThreadId;
+        struct ThreadLog(Arc<Mutex<Vec<ThreadId>>>);
+        impl FitnessEval<bool> for ThreadLog {
+            fn evaluate(&self, genes: &[bool]) -> f64 {
+                one_max(genes)
+            }
+            fn evaluate_batch(
+                &self,
+                genomes: &[Vec<bool>],
+                _: &[Option<Lineage>],
+                _: &[&[bool]],
+                out: &mut [f64],
+                objectives: &mut [Objectives],
+            ) {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                for ((genes, slot), vector) in genomes.iter().zip(out).zip(objectives) {
+                    *slot = one_max(genes);
+                    *vector = Objectives::from_fitness(*slot);
+                }
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let config = EaConfig::builder()
+            .population_size(10)
+            .children_per_generation(5)
+            .stagnation_limit(20)
+            .seed(3)
+            .threads(4)
+            .build();
+        let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), ThreadLog(Arc::clone(&seen)))
+            .config(config)
+            .run();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len() as u64, result.generations + 1);
+        let caller = std::thread::current().id();
+        assert!(seen.iter().all(|&id| id == caller), "{seen:?}");
     }
 
     #[test]

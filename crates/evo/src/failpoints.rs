@@ -25,9 +25,9 @@
 //! likewise belongs after every spawned thread has been joined.
 //!
 //! Hit counting is per *call site pass*, which for evaluator sites means
-//! per batch chunk: under multi-threaded evaluation the chunk count per
-//! generation depends on the worker count, so deterministic tests pin
-//! `threads(1)` (service jobs always do).
+//! once per batch: once per island per generation. Island runs on several
+//! workers pass the site in an order that depends on scheduling, so
+//! deterministic tests pin `threads(1)` (service jobs always do).
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -66,13 +66,13 @@ impl Lineage {
 /// Fitness of fixed-length genomes over gene type `G`; higher is better.
 ///
 /// The engine hands whole batches to [`FitnessEval::evaluate_batch`] — the
-/// initial population first, then every generation's children — which makes
-/// the batch the natural unit of parallelism (see [`crate::parallel`]).
-/// Scores are written into caller-provided slices, so the engine can reuse
-/// its output buffers across generations and an override can keep per-batch
-/// scratch state (buffers, histograms) alive for the whole batch — one
-/// scratch per worker thread, since the parallel evaluator makes exactly one
-/// `evaluate_batch` call per worker chunk.
+/// initial population first, then every generation's children — each batch
+/// in one call on the thread that bred it. Scores are written into
+/// caller-provided slices, so the engine can reuse its output buffers across
+/// generations and an override can keep per-batch scratch state (buffers,
+/// histograms) alive for the whole batch. Island runs call concurrently from
+/// several worker threads (one island each, see [`crate::parallel`]), so a
+/// shared evaluator is `Sync` and keeps any scratch per call.
 ///
 /// Implementations must be *pure*: the fitness of a genome may depend only
 /// on the genes (plus immutable shared state such as a precomputed
@@ -124,9 +124,9 @@ pub trait FitnessEval<G> {
     /// The default maps [`FitnessEval::evaluate`] over the batch in order
     /// and embeds each score via [`Objectives::from_fitness`], under which
     /// lexicographic ranking reproduces descending-fitness ranking exactly.
-    /// An override must fill every slot of both outputs and must not depend
-    /// on batch boundaries — the parallel evaluator splits batches into
-    /// arbitrary contiguous chunks. Callers guarantee that `lineage`, `out`
+    /// An override must fill every slot of both outputs, and a genome's
+    /// score must not depend on which other genomes share its batch.
+    /// Callers guarantee that `lineage`, `out`
     /// and `objectives` are as long as `genomes`, and that every
     /// `parent_idx` is in range of `parents`.
     fn evaluate_batch(

@@ -26,12 +26,12 @@
 //! [`FitnessEval::evaluate_batch`]: the initial population (without
 //! lineage), then each generation's children, each carrying a [`Lineage`]
 //! that names its parent and edit window so an evaluator can price it
-//! incrementally. Batches run across scoped worker threads — see
-//! [`parallel`] and the `threads` knob on [`EaConfig`]. Runs can also be
-//! structured as an island model — per-thread subpopulations with
-//! deterministic ring migration — via [`Topology`]. Thread count never
-//! changes results: runs are bit-identical for any value of the knob, with
-//! either topology.
+//! incrementally. Each batch runs whole on the thread that bred it. Runs
+//! can also be structured as an island model — subpopulations with
+//! deterministic ring migration, spread over scoped worker threads — via
+//! [`Topology`] and the `threads` knob on [`EaConfig`] (see [`parallel`]).
+//! Thread count never changes results: runs are bit-identical for any value
+//! of the knob, with either topology.
 //!
 //! Runs can also be multi-objective: an evaluator may report a minimized
 //! [`Objectives`] vector per genome from the same batch call, selection can rank

@@ -161,11 +161,11 @@ impl JobSpec {
         key
     }
 
-    /// The engine configuration of one attempt. Evaluation is pinned to one
-    /// thread: job-level parallelism comes from the worker pool, and a
-    /// fixed thread count keeps even failpoint hit-counting deterministic
-    /// (the engine's results are thread-invariant, but per-chunk hit counts
-    /// are not).
+    /// The engine configuration of one attempt, pinned to one thread:
+    /// job-level parallelism comes from the worker pool. A job's run is
+    /// panmictic, so every batch is evaluated on the worker thread that
+    /// runs the attempt, once per generation — which keeps even failpoint
+    /// hit-counting deterministic.
     fn ea_config(&self) -> EaConfig {
         let mut builder = EaConfig::builder()
             .stagnation_limit(self.stagnation_limit)

@@ -1,19 +1,36 @@
-//! The determinism contract of the parallel EA engine: the thread count is
-//! a throughput knob, never a semantic one. Same seed → byte-identical
-//! results for `threads` ∈ {1, 2, 8}, at every layer — the raw engine, the
-//! standalone batch evaluator, and the full compressor pipeline.
+//! The determinism contract of the EA engine: the thread count is a
+//! throughput knob, never a semantic one. Same seed → byte-identical
+//! results for `threads` ∈ {1, 2, 8}, at every layer — the raw engine and
+//! the full compressor pipeline. Panmictic runs evaluate on the calling
+//! thread whatever the count; island runs spread their islands over worker
+//! threads that share one evaluator, so the `MvFitness` tests run both
+//! topologies.
 //!
-//! CI additionally runs the whole workspace suite twice (default threads
-//! and `EVOTC_TEST_THREADS=1`) so every other test enforces the same
-//! contract implicitly.
+//! CI additionally runs the whole workspace suite under several values of
+//! `EVOTC_TEST_THREADS` so every other test enforces the same contract
+//! implicitly.
 
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};
 use evotc::core::{EaCompressor, MvFitness};
-use evotc::evo::{parallel, EaBuilder, EaConfig, EaResult, FitnessEval, Lineage, Objectives};
+use evotc::evo::{
+    parallel, EaBuilder, EaConfig, EaResult, FitnessEval, Lineage, Objectives, Topology,
+};
 use evotc::workloads::synth::{generate, SyntheticSpec};
 use rand::Rng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// The topologies the shared-evaluator tests run: the paper's panmictic
+/// population, and four islands whose workers race on one `MvFitness`
+/// (its parent cache and worker-state pool) at every thread count above 1.
+const TOPOLOGIES: [Topology; 2] = [
+    Topology::Panmictic,
+    Topology::Islands {
+        count: 4,
+        interval: 5,
+        migrants: 2,
+    },
+];
 
 fn engine_run(threads: usize, seed: u64) -> EaResult<bool> {
     let config = EaConfig::builder()
@@ -63,16 +80,6 @@ fn engine_trajectories_match_modulo_wall_clock() {
     }
 }
 
-#[test]
-fn standalone_evaluator_is_order_preserving_for_any_chunking() {
-    let fitness = |genes: &[u8]| genes.iter().map(|&g| g as f64).sum::<f64>();
-    let genomes: Vec<Vec<u8>> = (0..37).map(|i| vec![i as u8; 16]).collect();
-    let serial = parallel::evaluate(&fitness, &genomes, 1);
-    for threads in [2, 3, 5, 8, 37, 100] {
-        assert_eq!(parallel::evaluate(&fitness, &genomes, threads), serial);
-    }
-}
-
 fn workload() -> TestSet {
     generate(&SyntheticSpec {
         width: 24,
@@ -86,31 +93,37 @@ fn workload() -> TestSet {
 #[test]
 fn compressor_results_are_byte_identical_across_thread_counts() {
     let set = workload();
-    let compress = |threads: usize| {
-        EaCompressor::builder(12, 16)
-            .seed(5)
-            .stagnation_limit(25)
-            .max_evaluations(800)
-            .threads(threads)
-            .build()
-            .compress_with_summary(&set)
-            .expect("workload compresses")
-    };
-    let (ref_compressed, ref_summary) = compress(1);
-    for threads in THREAD_COUNTS {
-        let (compressed, summary) = compress(threads);
-        assert_eq!(compressed.compressed_bits, ref_compressed.compressed_bits);
-        assert_eq!(compressed.mv_set(), ref_compressed.mv_set());
-        assert_eq!(
-            compressed.decompress().unwrap(),
-            ref_compressed.decompress().unwrap()
-        );
-        assert_eq!(
-            summary.best_fitness.to_bits(),
-            ref_summary.best_fitness.to_bits()
-        );
-        assert_eq!(summary.generations, ref_summary.generations);
-        assert_eq!(summary.evaluations, ref_summary.evaluations);
+    for topology in TOPOLOGIES {
+        let compress = |threads: usize| {
+            EaCompressor::builder(12, 16)
+                .seed(5)
+                .stagnation_limit(25)
+                .max_evaluations(800)
+                .threads(threads)
+                .topology(topology)
+                .build()
+                .compress_with_summary(&set)
+                .expect("workload compresses")
+        };
+        let (ref_compressed, ref_summary) = compress(1);
+        for threads in THREAD_COUNTS {
+            let (compressed, summary) = compress(threads);
+            assert_eq!(
+                compressed.compressed_bits, ref_compressed.compressed_bits,
+                "{topology} t={threads}"
+            );
+            assert_eq!(compressed.mv_set(), ref_compressed.mv_set());
+            assert_eq!(
+                compressed.decompress().unwrap(),
+                ref_compressed.decompress().unwrap()
+            );
+            assert_eq!(
+                summary.best_fitness.to_bits(),
+                ref_summary.best_fitness.to_bits()
+            );
+            assert_eq!(summary.generations, ref_summary.generations);
+            assert_eq!(summary.evaluations, ref_summary.evaluations);
+        }
     }
 }
 
@@ -119,7 +132,8 @@ fn lineage_cache_never_changes_the_ea_trajectory() {
     // `MvFitness` wrapped so every genome reaches it without lineage and
     // takes the full kernel: running the engine with and without
     // incremental evaluation must produce byte-identical results, at every
-    // thread count. The cache is a work-saving device, never a semantic one.
+    // thread count and in both topologies. The cache is a work-saving
+    // device, never a semantic one.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
         fn evaluate(&self, genes: &[Trit]) -> f64 {
@@ -142,96 +156,105 @@ fn lineage_cache_never_changes_the_ea_trajectory() {
     let string = TestSetString::try_new(&set, 12).expect("K=12 fits the workload");
     let histogram = BlockHistogram::from_string(&string);
     let bits = string.payload_bits() as f64;
-    let config = |threads: usize| {
-        EaConfig::builder()
-            .population_size(10)
-            .children_per_generation(6)
-            .stagnation_limit(20)
-            .max_evaluations(600)
-            .seed(9)
-            .threads(threads)
-            .build()
-    };
     let sample = |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8));
-    let reference = EaBuilder::new(
-        12 * 16,
-        sample,
-        NoLineage(MvFitness::new(12, true, &histogram, bits)),
-    )
-    .config(config(1))
-    .run();
-    for threads in THREAD_COUNTS {
-        let incremental =
-            EaBuilder::new(12 * 16, sample, MvFitness::new(12, true, &histogram, bits))
-                .config(config(threads))
-                .run();
-        assert_eq!(
-            incremental.best_genome, reference.best_genome,
-            "t={threads}"
-        );
-        assert_eq!(
-            incremental.best_fitness.to_bits(),
-            reference.best_fitness.to_bits()
-        );
-        assert_eq!(incremental.generations, reference.generations);
-        assert_eq!(incremental.evaluations, reference.evaluations);
+    for topology in TOPOLOGIES {
+        let config = |threads: usize| {
+            EaConfig::builder()
+                .population_size(10)
+                .children_per_generation(6)
+                .stagnation_limit(20)
+                .max_evaluations(600)
+                .seed(9)
+                .threads(threads)
+                .topology(topology)
+                .build()
+        };
+        let reference = EaBuilder::new(
+            12 * 16,
+            sample,
+            NoLineage(MvFitness::new(12, true, &histogram, bits)),
+        )
+        .config(config(1))
+        .run();
+        for threads in THREAD_COUNTS {
+            let incremental =
+                EaBuilder::new(12 * 16, sample, MvFitness::new(12, true, &histogram, bits))
+                    .config(config(threads))
+                    .run();
+            assert_eq!(
+                incremental.best_genome, reference.best_genome,
+                "{topology} t={threads}"
+            );
+            assert_eq!(
+                incremental.best_fitness.to_bits(),
+                reference.best_fitness.to_bits()
+            );
+            assert_eq!(incremental.generations, reference.generations);
+            assert_eq!(incremental.evaluations, reference.evaluations);
+        }
     }
 }
 
 #[test]
 fn shared_cache_trajectory_is_identical_for_any_thread_count() {
-    // The shared parent cache is probed concurrently by every worker thread
-    // (`MvFitness` holds one `SharedParentCache`; workers race on lookups
+    // In an island run the parent cache is probed concurrently by every
+    // island worker (`MvFitness` holds one store; workers race on lookups
     // and inserts). Whatever the interleaving — and whoever wins a race to
     // build a parent entry — the *trajectory* must be byte-identical for
-    // every thread count and across repeated runs: the cache changes how
-    // much a score costs, never the score. (Cache hit/miss counters are the
-    // one explicitly non-deterministic observable, like wall-clock.)
+    // every thread count and across repeated runs, in both topologies: the
+    // cache changes how much a score costs, never the score. (Cache
+    // hit/miss counters are the one explicitly non-deterministic
+    // observable, like wall-clock.)
     let set = workload();
     let string = TestSetString::try_new(&set, 12).expect("K=12 fits the workload");
     let histogram = BlockHistogram::from_string(&string);
     let bits = string.payload_bits() as f64;
-    let run = |threads: usize| {
-        let config = EaConfig::builder()
-            .population_size(10)
-            .children_per_generation(6)
-            .stagnation_limit(20)
-            .max_evaluations(600)
-            .seed(17)
-            .threads(threads)
-            .build();
-        EaBuilder::new(
-            12 * 16,
-            |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8)),
-            MvFitness::new(12, true, &histogram, bits),
-        )
-        .config(config)
-        .run()
-    };
-    let reference = run(1);
-    // The run reports cache counters, and the steady state actually hits.
-    let stats = reference.cache.expect("MvFitness reports cache stats");
-    assert!(
-        stats.hits > 0,
-        "no shared-cache hits in a whole run: {stats}"
-    );
-    for threads in THREAD_COUNTS {
-        for repeat in 0..2 {
-            let other = run(threads);
-            assert_eq!(
-                other.best_genome, reference.best_genome,
-                "t={threads} repeat={repeat}"
-            );
-            assert_eq!(
-                other.best_fitness.to_bits(),
-                reference.best_fitness.to_bits()
-            );
-            assert_eq!(other.generations, reference.generations);
-            assert_eq!(other.evaluations, reference.evaluations);
-            for (a, b) in other.history.iter().zip(&reference.history) {
-                assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
-                assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
-                assert_eq!(a.evaluations, b.evaluations);
+    for topology in TOPOLOGIES {
+        let run = |threads: usize| {
+            let config = EaConfig::builder()
+                .population_size(10)
+                .children_per_generation(6)
+                .stagnation_limit(20)
+                .max_evaluations(600)
+                .seed(17)
+                .threads(threads)
+                .topology(topology)
+                .build();
+            EaBuilder::new(
+                12 * 16,
+                |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8)),
+                MvFitness::new(12, true, &histogram, bits),
+            )
+            .config(config)
+            .run()
+        };
+        let reference = run(1);
+        // The run reports cache counters, and the steady state actually
+        // hits.
+        let stats = reference.cache.expect("MvFitness reports cache stats");
+        assert!(
+            stats.hits > 0,
+            "{topology}: no parent-cache hits in a whole run: {stats}"
+        );
+        for threads in THREAD_COUNTS {
+            for repeat in 0..2 {
+                let other = run(threads);
+                assert_eq!(
+                    other.best_genome, reference.best_genome,
+                    "{topology} t={threads} repeat={repeat}"
+                );
+                assert_eq!(
+                    other.best_fitness.to_bits(),
+                    reference.best_fitness.to_bits()
+                );
+                assert_eq!(other.generations, reference.generations);
+                assert_eq!(other.evaluations, reference.evaluations);
+                assert_eq!(other.history.len(), reference.history.len());
+                for (a, b) in other.history.iter().zip(&reference.history) {
+                    assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
+                    assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
+                    assert_eq!(a.evaluations, b.evaluations);
+                }
             }
         }
     }
@@ -240,8 +263,9 @@ fn shared_cache_trajectory_is_identical_for_any_thread_count() {
 #[test]
 fn explicit_threads_beat_the_env_override() {
     // `resolve_threads` takes an explicit count literally; only `0` (auto)
-    // consults EVOTC_TEST_THREADS. Explicitly-threaded runs therefore stay
-    // parallel even when CI forces the suite serial — and still must agree.
+    // consults EVOTC_TEST_THREADS. Explicitly-threaded island runs therefore
+    // stay parallel even when CI forces the suite serial — and still must
+    // agree.
     assert_eq!(parallel::resolve_threads(3), 3);
     assert!(parallel::resolve_threads(0) >= 1);
 }

@@ -1,12 +1,12 @@
 //! Property tests pinning the allocation-free fitness kernel to the legacy
 //! path: for every histogram, K/L shape, and genome — feasible or not —
-//! `MvFitness::evaluate_scratch` must return the **bit-identical** `f64`
+//! `MvFitness::evaluate_with_objectives` must return the **bit-identical** `f64`
 //! that the legacy `MvSet::from_genes` → `Covering` → `huffman_code` →
 //! `encoded_size` pipeline produces.
 
 use evotc::bits::{BlockHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{encoded_size, encoded_size_scratch, EvalScratch, MvFitness, MvSet};
-use evotc::evo::{parallel, FitnessEval};
+use evotc::evo::{FitnessEval, Objectives};
 use proptest::prelude::*;
 
 /// The K/L shapes the properties sweep: small and paper-adjacent, odd and
@@ -68,7 +68,7 @@ proptest! {
             let genes = &genome_bits[..k * l.min(48 / k)];
             for force in [false, true] {
                 let fitness = MvFitness::new(k, force, &hist, bits);
-                let fast = fitness.evaluate_scratch(genes, &mut scratch);
+                let fast = fitness.evaluate_with_objectives(genes, &mut scratch).0;
                 let slow = legacy_fitness(k, force, &hist, bits, genes);
                 prop_assert_eq!(
                     fast.to_bits(), slow.to_bits(),
@@ -93,7 +93,7 @@ proptest! {
         let mut scratch = EvalScratch::new();
         let mut saw_infeasible = false;
         for g in &genomes {
-            let fast = fitness.evaluate_scratch(g, &mut scratch);
+            let fast = fitness.evaluate_with_objectives(g, &mut scratch).0;
             let slow = legacy_fitness(4, false, &hist, bits, g);
             prop_assert_eq!(fast.to_bits(), slow.to_bits());
             saw_infeasible |= fast == MvFitness::INFEASIBLE;
@@ -101,7 +101,10 @@ proptest! {
         // Not an assertion — but the shape is chosen so both classes occur
         // across the run; the check below keeps the batch path honest.
         let _ = saw_infeasible;
-        let scores = parallel::evaluate(&fitness, &genomes, 1);
+        let mut scores = vec![f64::NAN; genomes.len()];
+        let mut objectives = vec![Objectives::NAN; genomes.len()];
+        let lineage = vec![None; genomes.len()];
+        fitness.evaluate_batch(&genomes, &lineage, &[], &mut scores, &mut objectives);
         for (g, &s) in genomes.iter().zip(&scores) {
             prop_assert_eq!(s.to_bits(), fitness.evaluate(g).to_bits());
         }

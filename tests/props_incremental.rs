@@ -16,7 +16,7 @@ use evotc::core::{
     encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
     EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
 };
-use evotc::evo::{parallel, FitnessEval, Lineage, Objectives};
+use evotc::evo::{FitnessEval, Lineage, Objectives};
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -366,11 +366,10 @@ proptest! {
     }
 
     /// Concurrent probes against the shared parent cache: the same lineage
-    /// batch evaluated on 1 and 4 worker threads (all sharing one
-    /// `MvFitness`, i.e. one shared cache) must match the plain batch
-    /// bit-for-bit. CI additionally runs the whole suite under
-    /// `EVOTC_TEST_THREADS=4`, so the auto-threaded engine tests exercise
-    /// the same concurrency.
+    /// batch evaluated by 1 and then 4 threads at once, all on one
+    /// `&MvFitness` (one parent cache, one worker-state pool) — what the
+    /// workers of an island run do — must match the plain batch
+    /// bit-for-bit on every thread.
     #[test]
     fn shared_cache_concurrent_probes_match_plain_batch(
         rows in proptest::collection::vec(arb_trits(12), 1..6),
@@ -402,15 +401,19 @@ proptest! {
             genomes.push(child);
         }
         let (plain, plain_objectives) = plain_batch(&fitness, &genomes);
-        let (mut scores, mut objectives) = (Vec::new(), Vec::new());
         for threads in [1, 4] {
-            parallel::evaluate_into(
-                &fitness, &genomes, &lineage, &parents, threads, &mut scores, &mut objectives,
-            );
-            for (i, (a, b)) in scores.iter().zip(&plain).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {} threads {}", i, threads);
+            let results: Vec<(Vec<f64>, Vec<Objectives>)> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| scope.spawn(|| batch(&fitness, &genomes, &lineage, &parents)))
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for (scores, objectives) in &results {
+                for (i, (a, b)) in scores.iter().zip(&plain).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {} threads {}", i, threads);
+                }
+                prop_assert_eq!(objectives, &plain_objectives, "threads {}", threads);
             }
-            prop_assert_eq!(&objectives, &plain_objectives, "threads {}", threads);
         }
     }
 
